@@ -6,7 +6,7 @@
 
 #include "bench/common.h"
 
-#include "baselines/parameter_server.h"
+#include "ps/trainer.h"
 
 using namespace gw2v;
 
@@ -40,12 +40,20 @@ int main() {
                   static_cast<double>(hottest) / 1e6);
     }
     {
-      baselines::ParameterServerOptions o;
+      // The classic single-server PS as a configuration of src/ps/: one
+      // server, zero staleness, raw-SUM folds, fp32 wire, no row cache.
+      ps::PsTrainOptions o;
       o.sgns = bench::benchSgns();
       o.epochs = epochs;
       o.roundsPerEpoch = core::defaultSyncRounds(hosts);
       o.numHosts = hosts;
-      const auto r = baselines::trainParameterServer(data.vocab, data.corpus, o);
+      o.numServers = 1;
+      o.staleness = 0;
+      o.reduction = core::Reduction::kSum;
+      o.codec = comm::SyncCodec::kFp32;
+      o.cacheRows = 0;
+      o.trackLoss = false;
+      const auto r = ps::trainAsyncPs(data.vocab, data.corpus, o);
       std::uint64_t hottest = 0;
       for (const auto& h : r.cluster.hosts) {
         hottest = std::max(hottest, h.comm.bytesSent + h.comm.bytesReceived);

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "comm/codec.h"
 #include "comm/serialize.h"
 
 namespace gw2v::comm {
@@ -10,8 +9,7 @@ namespace gw2v::comm {
 ScalarSyncEngine::ScalarSyncEngine(sim::HostContext& ctx, std::span<float> values,
                                    util::BitVector& touched,
                                    const graph::BlockedPartition& partition,
-                                   ScalarReduceOp op, sim::NetworkModel netModel,
-                                   SyncCodec codec, bool errorFeedback)
+                                   ScalarReduceOp op, sim::NetworkModel netModel)
     : ctx_(ctx),
       transport_(ctx.network()),
       coll_(transport_, ctx.id(), TagSpace::kScalarSync),
@@ -19,12 +17,9 @@ ScalarSyncEngine::ScalarSyncEngine(sim::HostContext& ctx, std::span<float> value
       touched_(touched),
       partition_(partition),
       op_(op),
-      netModel_(netModel),
-      codec_(codec) {
+      netModel_(netModel) {
   assert(values_.size() == partition_.numNodes());
   assert(touched_.size() >= partition_.numNodes());
-  if (codec_ != SyncCodec::kFp32 && errorFeedback)
-    residual_.assign(partition_.numNodes(), 0.0f);
 }
 
 std::uint64_t ScalarSyncEngine::sync() {
@@ -32,43 +27,6 @@ std::uint64_t ScalarSyncEngine::sync() {
   const sim::HostId me = ctx_.id();
   const auto better = [this](float candidate, float current) {
     return op_ == ScalarReduceOp::kMin ? candidate < current : candidate > current;
-  };
-  // Lossy wire encode/decode for one scalar: the row codec helpers on a
-  // one-value "row" (exact for BFS/CC-style small integers under fp16 and
-  // near-exact under int8's one-value scale), with the node's banked
-  // residual folded in when error feedback is on.
-  const std::size_t valueBytes = codecValueBytes(codec_, 1);
-  alignas(4) std::uint8_t encScratch[16];
-  float decScratch;
-  assert(valueBytes <= sizeof(encScratch));
-  const auto putValue = [&](ByteWriter& w, std::uint32_t n) {
-    float v = values_[n];
-    if (codec_ == SyncCodec::kFp32) {
-      w.put(v);
-      return;
-    }
-    if (!residual_.empty()) v += residual_[n];
-    encodeRowValues(codec_, std::span<const float>(&v, 1), encScratch);
-    if (!residual_.empty()) {
-      decodeRowValues(codec_, encScratch, std::span<float>(&decScratch, 1));
-      residual_[n] = v - decScratch;
-    }
-    w.putSpan(std::span<const std::uint8_t>(encScratch, valueBytes));
-  };
-  const auto getValue = [&](ByteReader& r) -> float {
-    if (codec_ == SyncCodec::kFp32) return r.get<float>();
-    if (codec_ == SyncCodec::kFp16) {
-      // Via view<u16> so the decode kernel always sees aligned input.
-      const auto h = r.view<std::uint16_t>(1);
-      float v;
-      decodeRowValues(codec_, reinterpret_cast<const std::uint8_t*>(h.data()),
-                      std::span<float>(&v, 1));
-      return v;
-    }
-    const auto b = r.view<std::uint8_t>(valueBytes);
-    float v;
-    decodeRowValues(codec_, b.data(), std::span<float>(&v, 1));
-    return v;
   };
 
   const sim::CommSnapshot before = sim::snapshot(ctx_.commStats());
@@ -82,12 +40,12 @@ std::uint64_t ScalarSyncEngine::sync() {
     w.put(static_cast<std::uint32_t>(touched_.countInRange(lo, hi)));
     touched_.forEachSetInRange(lo, hi, [&](std::size_t n) {
       w.put(static_cast<std::uint32_t>(n));
-      putValue(w, static_cast<std::uint32_t>(n));
+      w.put(values_[n]);
     });
     reduceOut[peer] = w.take();
   }
-  const std::vector<std::vector<std::uint8_t>> reduceIn =
-      coll_.allToAllv(std::move(reduceOut), sim::CommPhase::kReduce);
+  std::vector<std::vector<std::uint8_t>> reduceIn(numHosts);
+  coll_.allToAllv(reduceOut, reduceIn, sim::CommPhase::kReduce);
 
   // Master-side fold. Track which owned labels improved.
   std::uint64_t changed = 0;
@@ -101,7 +59,7 @@ std::uint64_t ScalarSyncEngine::sync() {
     const std::uint32_t count = r.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::uint32_t n = r.get<std::uint32_t>();
-      const float v = getValue(r);
+      const float v = r.get<float>();
       if (better(v, values_[n])) {
         values_[n] = v;
         improved.set(n - ownLo);
@@ -117,7 +75,7 @@ std::uint64_t ScalarSyncEngine::sync() {
   improved.forEachSet([&](std::size_t off) {
     const auto n = static_cast<std::uint32_t>(ownLo + off);
     w.put(n);
-    putValue(w, n);
+    w.put(values_[n]);
   });
   const std::vector<std::vector<std::uint8_t>> bcastIn =
       coll_.allGatherv(w.take(), sim::CommPhase::kBroadcast);
@@ -127,7 +85,7 @@ std::uint64_t ScalarSyncEngine::sync() {
     const std::uint32_t count = r.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::uint32_t n = r.get<std::uint32_t>();
-      const float v = getValue(r);
+      const float v = r.get<float>();
       // Masters are authoritative: their folded value overwrites mirrors
       // (it can only be better-or-equal under an idempotent reduction).
       if (values_[n] != v) {

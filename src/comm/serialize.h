@@ -62,14 +62,16 @@ class ByteReader {
   std::span<const T> view(std::size_t n) {
     static_assert(std::is_trivially_copyable_v<T>);
     static_assert(alignof(T) <= alignof(std::max_align_t));
-    require(n * sizeof(T));
+    // Divide rather than multiply: n * sizeof(T) can wrap for a hostile n.
+    if (n > remaining() / sizeof(T)) throw std::runtime_error("ByteReader: truncated message");
+    const std::size_t bytes = n * sizeof(T);
     const std::uint8_t* raw = bytes_.data() + pos_;
-    pos_ += n * sizeof(T);
+    pos_ += bytes;
     if (reinterpret_cast<std::uintptr_t>(raw) % alignof(T) == 0) {
       return {reinterpret_cast<const T*>(raw), n};
     }
-    std::vector<std::uint8_t>& copy = aligned_.emplace_back(n * sizeof(T));
-    if (n != 0) std::memcpy(copy.data(), raw, n * sizeof(T));
+    std::vector<std::uint8_t>& copy = aligned_.emplace_back(bytes);
+    if (n != 0) std::memcpy(copy.data(), raw, bytes);
     return {reinterpret_cast<const T*>(copy.data()), n};
   }
 
@@ -78,7 +80,7 @@ class ByteReader {
 
  private:
   void require(std::size_t n) const {
-    if (pos_ + n > bytes_.size()) throw std::runtime_error("ByteReader: truncated message");
+    if (n > remaining()) throw std::runtime_error("ByteReader: truncated message");
   }
 
   std::span<const std::uint8_t> bytes_;

@@ -36,10 +36,7 @@
 // owned rows over threads while walking sources in host-id order per row,
 // and both applies are row-parallel — so results stay bit-identical to the
 // single-threaded reference (SyncOptions::serial) at any thread count.
-// SyncOptions::pipelineChunks > 1 additionally slices both exchanges into
-// row-range chunks double-buffered through Collectives::allToAllvPipelined
-// (chunk c+1 packs while chunk c is in flight and folding). DESIGN.md §5f
-// has the determinism argument.
+// DESIGN.md §5f has the determinism argument.
 
 #include <array>
 #include <cstdint>
@@ -54,7 +51,6 @@
 #include "graph/partition.h"
 #include "model/embedding_table.h"
 #include "sim/cluster.h"
-#include "sim/network.h"
 #include "sim/network_model.h"
 #include "util/bitvector.h"
 
@@ -65,12 +61,6 @@ enum class SyncStrategy : int { kRepModelNaive = 0, kRepModelOpt = 1, kPullModel
 const char* syncStrategyName(SyncStrategy s) noexcept;
 
 struct SyncOptions {
-  /// Row-range chunks each exchange (reduce and broadcast) is split into.
-  /// 1 = one-shot exchange, byte-identical to the historical protocol (the
-  /// golden files lock this). K > 1 pipelines chunks through the fabric;
-  /// extra per-chunk count headers and message framing change byte counts,
-  /// never model bits.
-  unsigned pipelineChunks = 1;
   /// Run the single-threaded reference path regardless of pool size. The
   /// fuzz tests cross-check the parallel path against it bit-for-bit.
   bool serial = false;
@@ -128,21 +118,6 @@ class SyncEngine {
     return n < t.numRows() ? t.row(n) : std::span<const float>{};
   }
 
-  /// Extra bytes ONE host pays per exchange phase for each pipeline chunk
-  /// past the first: the per-label count headers re-shipped in every chunk
-  /// plus fabric framing, on each of its numHosts-1 messages. Entry bytes are
-  /// invariant across chunkings (chunks partition row ranges), so
-  /// totalBytes(K) - totalBytes(1) over a run is exactly
-  /// rounds × phases × hosts × (K-1) × perChunkOverheadBytes(hosts) — the
-  /// regression tests hold the accounting to that identity.
-  static constexpr std::uint64_t perChunkOverheadBytes(unsigned numHosts) noexcept {
-    return numHosts <= 1
-               ? 0
-               : static_cast<std::uint64_t>(numHosts - 1) *
-                     (static_cast<std::uint64_t>(graph::kNumLabels) * 4 +
-                      sim::Network::kHeaderBytes);
-  }
-
   /// Times any engine-owned scratch (send buffers, fold accumulators, task
   /// lists) had to grow its capacity. Steady-state rounds with a stable
   /// dirty-set shape must not move this counter — asserted by tests.
@@ -174,7 +149,6 @@ class SyncEngine {
   }
 
   void exchangeWillAccess(const util::BitVector* willAccess);
-  double chargePipelineSeconds() const noexcept;
 
   /// Allocate (or zero, if `reset`) the per-label residual tables for lossy
   /// codecs. No-op under fp32 unless resetting already-allocated tables.
@@ -217,8 +191,6 @@ class SyncEngine {
   std::vector<SegDir> segDirs_;              // numHosts × kNumLabels
   std::vector<std::vector<std::uint32_t>> pullWants_;
   std::array<std::vector<std::uint32_t>, graph::kNumLabels> emit_;  // bcast rows per label
-  std::vector<double> chunkPack_, chunkConsume_, chunkTransfer_;    // per-chunk pipeline costs
-  std::vector<std::uint64_t> chunkBytes_;    // bytes this host sent for the chunk (w/ framing)
 };
 
 }  // namespace gw2v::comm

@@ -172,8 +172,8 @@ TEST(Collectives, AllToAllvExchangesPersonalizedPayloads) {
         // me -> p carries me*16+p, repeated (p+1) times.
         toPeer[p].assign(p + 1, static_cast<std::uint8_t>(me * 16 + p));
       }
-      const auto from = coll.allToAllv(std::move(toPeer), sim::CommPhase::kReduce);
-      ASSERT_EQ(from.size(), H);
+      std::vector<std::vector<std::uint8_t>> from(H);
+      coll.allToAllv(toPeer, from, sim::CommPhase::kReduce);
       ASSERT_TRUE(from[me].empty());
       for (unsigned src = 0; src < H; ++src) {
         if (src == me) continue;
@@ -184,11 +184,64 @@ TEST(Collectives, AllToAllvExchangesPersonalizedPayloads) {
   }
 }
 
+TEST(Collectives, AllToAllvRecyclesCallerSlotsAcrossCalls) {
+  // The sync engines keep both slot vectors alive across rounds: each call
+  // must overwrite the peer slots with this round's payloads, leave the self
+  // slot alone, and draw exactly one tag.
+  constexpr unsigned H = 4;
+  runRanks(H, [&](RankId me, Collectives& coll) {
+    std::vector<std::vector<std::uint8_t>> toPeer(H), from(H);
+    from[me] = {0xEE};
+    for (unsigned round = 0; round < 3; ++round) {
+      for (unsigned p = 0; p < H; ++p) {
+        toPeer[p].assign(1 + (p + round) % 3, static_cast<std::uint8_t>(me * 16 + round));
+      }
+      coll.allToAllv(toPeer, from);
+      ASSERT_EQ(coll.opsIssued(), round + 1u);
+      ASSERT_EQ(from[me], std::vector<std::uint8_t>{0xEE});
+      for (unsigned src = 0; src < H; ++src) {
+        if (src == me) continue;
+        ASSERT_EQ(from[src].size(), 1 + (me + round) % 3) << "round " << round;
+        for (const auto b : from[src]) ASSERT_EQ(b, src * 16 + round);
+      }
+    }
+  });
+}
+
+TEST(Collectives, AllToAllvSendsOneMessagePerPeerInOneRound) {
+  // The personalized exchange costs each rank H-1 messages (payload plus one
+  // header each) and H-1 recorded collective rounds — the accounting the
+  // sync engines' modelled exchange time is built on.
+  constexpr unsigned H = 5;
+  sim::Network net(H);
+  std::vector<std::thread> threads;
+  for (unsigned h = 0; h < H; ++h) {
+    threads.emplace_back([&, h] {
+      SimTransport transport(net);
+      Collectives coll(transport, h, TagSpace::kTest);
+      std::vector<std::vector<std::uint8_t>> toPeer(H), from(H);
+      for (unsigned p = 0; p < H; ++p) toPeer[p].assign(3 * p + 1, 7);
+      coll.allToAllv(toPeer, from);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (unsigned h = 0; h < H; ++h) {
+    std::uint64_t payload = 0;
+    for (unsigned p = 0; p < H; ++p) {
+      if (p != h) payload += 3 * p + 1;
+    }
+    EXPECT_EQ(net.statsFor(h).bytesSent(), payload + (H - 1) * sim::Network::kHeaderBytes)
+        << "rank " << h;
+    EXPECT_EQ(net.statsFor(h).collectiveRounds(), H - 1) << "rank " << h;
+  }
+}
+
 TEST(Collectives, AllToAllvRejectsWrongSlotCount) {
   runRanks(2, [](RankId me, Collectives& coll) {
     if (me == 0) {
-      EXPECT_THROW(coll.allToAllv(std::vector<std::vector<std::uint8_t>>(3)),
-                   std::invalid_argument);
+      std::vector<std::vector<std::uint8_t>> three(3), two(2);
+      EXPECT_THROW(coll.allToAllv(three, two), std::invalid_argument);
+      EXPECT_THROW(coll.allToAllv(two, three), std::invalid_argument);
     }
     coll.barrier();
   });
@@ -284,8 +337,9 @@ TEST(Collectives, SingleRankEverythingIsANoop) {
     ASSERT_EQ(g[0].size(), 3u);
     const auto ag = coll.allGatherv({9});
     ASSERT_EQ(ag.size(), 1u);
-    const auto a2a = coll.allToAllv(std::vector<std::vector<std::uint8_t>>(1));
-    ASSERT_EQ(a2a.size(), 1u);
+    std::vector<std::vector<std::uint8_t>> toPeer{{7}}, from(1);
+    coll.allToAllv(toPeer, from);
+    ASSERT_TRUE(from[0].empty());
   });
 }
 

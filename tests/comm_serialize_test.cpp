@@ -60,6 +60,34 @@ TEST(Serialize, OverreadViewThrows) {
   EXPECT_THROW(r.view<float>(2), std::runtime_error);
 }
 
+TEST(Serialize, HugeViewCountThrowsInsteadOfWrapping) {
+  // Element counts come off the wire. (2^62 + 1) floats is 2^64 + 4 bytes,
+  // which wraps to 4 in size_t arithmetic; a count near SIZE_MAX wraps the
+  // cursor sum. Both must be rejected against the bytes actually left.
+  const std::vector<std::uint8_t> buf(8, 0);
+  ByteReader r(buf);
+  EXPECT_THROW(r.view<float>((std::size_t{1} << 62) + 1), std::runtime_error);
+  EXPECT_EQ(r.remaining(), 8u);
+  r.get<std::uint32_t>();
+  EXPECT_THROW(r.view<std::uint8_t>(SIZE_MAX - 2), std::runtime_error);
+  EXPECT_EQ(r.view<std::uint8_t>(4).size(), 4u);
+  EXPECT_TRUE(r.done());
+}
+
+TEST(Serialize, ViewLengthCheckRoundsRemainingDown) {
+  // 10 bytes hold two whole floats, not three; the two bytes left over still
+  // read as one uint16.
+  const std::vector<std::uint8_t> buf(10, 0);
+  ByteReader r(buf);
+  EXPECT_THROW(r.view<float>(3), std::runtime_error);
+  EXPECT_EQ(r.remaining(), 10u);
+  EXPECT_EQ(r.view<float>(2).size(), 2u);
+  EXPECT_THROW(r.view<float>(1), std::runtime_error);
+  EXPECT_EQ(r.view<std::uint16_t>(1).size(), 1u);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(r.view<double>(0).size(), 0u);
+}
+
 TEST(Serialize, RemainingTracksPosition) {
   ByteWriter w;
   w.put(std::uint32_t{1});
