@@ -76,8 +76,7 @@ ColumnParallelResult trainColumnParallel(const text::Vocabulary& vocab,
         // ...summed across hosts into global dots (the design's hot loop).
         const sim::CommSnapshot before = sim::snapshot(ctx.commStats());
         coll.allReduceSum(dots);
-        ctx.addModelledCommSeconds(opts.netModel.exchangeSeconds(
-            sim::delta(before, sim::snapshot(ctx.commStats()))));
+        ctx.chargeCommSince(before);
 
         // Apply gradients to the slice using the global scalars.
         ctx.computeTimer().start();
@@ -138,7 +137,6 @@ ColumnParallelResult trainColumnParallel(const text::Vocabulary& vocab,
 
   sim::ClusterOptions copts;
   copts.numHosts = numHosts;
-  copts.networkModel = opts.netModel;
 
   ColumnParallelResult result;
   result.cluster = sim::runCluster(copts, body);

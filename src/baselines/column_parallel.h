@@ -39,7 +39,6 @@ struct ColumnParallelOptions {
   std::uint64_t seed = 42;
   float minAlphaFraction = 1e-4f;
   bool trackLoss = true;
-  sim::NetworkModel netModel{};
 };
 
 struct ColumnParallelResult {

@@ -9,15 +9,14 @@ namespace gw2v::comm {
 ScalarSyncEngine::ScalarSyncEngine(sim::HostContext& ctx, std::span<float> values,
                                    util::BitVector& touched,
                                    const graph::BlockedPartition& partition,
-                                   ScalarReduceOp op, sim::NetworkModel netModel)
+                                   ScalarReduceOp op)
     : ctx_(ctx),
       transport_(ctx.network()),
       coll_(transport_, ctx.id(), TagSpace::kScalarSync),
       values_(values),
       touched_(touched),
       partition_(partition),
-      op_(op),
-      netModel_(netModel) {
+      op_(op) {
   assert(values_.size() == partition_.numNodes());
   assert(touched_.size() >= partition_.numNodes());
 }
@@ -97,8 +96,7 @@ std::uint64_t ScalarSyncEngine::sync() {
 
   touched_.reset();
   ++round_;
-  ctx_.addModelledCommSeconds(
-      netModel_.exchangeSeconds(sim::delta(before, sim::snapshot(ctx_.commStats()))));
+  ctx_.chargeCommSince(before);
   coll_.barrier();
   return changed;
 }

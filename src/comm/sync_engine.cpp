@@ -41,7 +41,7 @@ const char* syncStrategyName(SyncStrategy s) noexcept {
 
 SyncEngine::SyncEngine(sim::HostContext& ctx, graph::ModelGraph& model,
                        const graph::BlockedPartition& partition, const Reducer& reducer,
-                       SyncStrategy strategy, sim::NetworkModel netModel, SyncOptions opts)
+                       SyncStrategy strategy, SyncOptions opts)
     : ctx_(ctx),
       transport_(ctx.network()),
       coll_(transport_, ctx.id(), TagSpace::kModelSync),
@@ -49,11 +49,12 @@ SyncEngine::SyncEngine(sim::HostContext& ctx, graph::ModelGraph& model,
       partition_(partition),
       reducer_(reducer),
       strategy_(strategy),
-      netModel_(netModel),
       syncOpts_(opts) {
   assert(partition_.numNodes() == model_.numNodes());
   assert(partition_.numHosts() == ctx_.numHosts());
-  ensureResiduals(false);
+  if (syncOpts_.codec != SyncCodec::kFp32) {
+    for (auto& table : residual_) table.init(model_.numNodes(), model_.dim());  // zero-filled
+  }
   rebaseline();
 }
 
@@ -62,30 +63,6 @@ void SyncEngine::rebaseline() {
   // Residuals survive: a rebaseline redefines the delta origin, but
   // quantization error that never made it onto the wire stays owed.
   model_.clearTouched();
-}
-
-void SyncEngine::ensureResiduals(bool reset) {
-  if (syncOpts_.codec == SyncCodec::kFp32 && !reset) return;
-  for (auto& table : residual_) {
-    if (table.numRows() != model_.numNodes() || table.dim() != model_.dim()) {
-      table.init(model_.numNodes(), model_.dim());  // init zero-fills
-    } else if (reset) {
-      for (std::uint32_t n = 0; n < table.numRows(); ++n) {
-        auto row = table.untrackedRow(n);
-        std::fill(row.begin(), row.end(), 0.0f);
-      }
-    }
-  }
-}
-
-void SyncEngine::setCodec(SyncCodec codec, bool errorFeedback) {
-  const bool changed = codec != syncOpts_.codec;
-  syncOpts_.codec = codec;
-  syncOpts_.errorFeedback = errorFeedback;
-  // Stale error from another codec's quantization grid is meaningless —
-  // re-adding it would inject noise, not correct it.
-  if (changed) ensureResiduals(true);
-  ensureResiduals(false);
 }
 
 void SyncEngine::sync() { doSync(nullptr); }
@@ -142,7 +119,7 @@ void SyncEngine::exchangeWillAccess(const util::BitVector* willAccess) {
   for (auto& v : pullWants_) v.clear();
   if (numHosts <= 1) return;
 
-  runtime::PhaseStats& phases = ctx_.syncPhases();
+  sim::SyncPhaseSeconds& phases = ctx_.syncPhases();
   util::WallTimer t;
   for (unsigned peer = 0; peer < numHosts; ++peer) {
     if (peer == me) continue;
@@ -167,10 +144,10 @@ void SyncEngine::exchangeWillAccess(const util::BitVector* willAccess) {
     }
     sendBufs_[peer] = std::move(buf);
   }
-  phases.add(0, runtime::SyncPhase::kPack, t.seconds());
+  phases.pack += t.seconds();
   t.reset();
   coll_.allToAllv(sendBufs_, recvBufs_, sim::CommPhase::kControl);
-  phases.add(0, runtime::SyncPhase::kExchange, t.seconds());
+  phases.exchange += t.seconds();
   t.reset();
   for (unsigned src = 0; src < numHosts; ++src) {
     if (src == me) continue;
@@ -184,7 +161,7 @@ void SyncEngine::exchangeWillAccess(const util::BitVector* willAccess) {
     }
     releaseBuf(std::move(buf));
   }
-  phases.add(0, runtime::SyncPhase::kFold, t.seconds());
+  phases.fold += t.seconds();
 }
 
 // The parallel path: byte- and bit-identical to doSyncSerial at any thread
@@ -197,7 +174,7 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
   const bool pull = strategy_ == SyncStrategy::kPullModel;
   runtime::ThreadPool& pool = ctx_.pool();
   const unsigned numThreads = pool.numThreads();
-  runtime::PhaseStats& phases = ctx_.syncPhases();
+  sim::SyncPhaseSeconds& phases = ctx_.syncPhases();
   const SyncCodec codec = syncOpts_.codec;
   const bool lossy = codec != SyncCodec::kFp32;
   const bool ef = lossy && syncOpts_.errorFeedback;
@@ -305,7 +282,6 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
   // ---- PullModel inspection exchange. ----
   if (pull) exchangeWillAccess(willAccess);
 
-  double packW = 0.0, exchangeW = 0.0, foldW = 0.0, applyW = 0.0;
   util::WallTimer timer;
   const auto lap = [&](double& bucket) {
     bucket += timer.seconds();
@@ -391,10 +367,10 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
         }
       },
       {.chunkSize = 1});
-  lap(packW);
+  lap(phases.pack);
 
   coll_.allToAllv(sendBufs_, recvBufs_, sim::CommPhase::kReduce);
-  lap(exchangeW);
+  lap(phases.exchange);
 
   // Fold: rows partitioned over threads, sources walked in host-id order per
   // row — the per-row contribution order matches the serial engine.
@@ -440,7 +416,7 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
       }
     });
   }
-  lap(foldW);
+  lap(phases.fold);
 
   // Apply combined steps to canonical values, row-parallel. The baseline
   // must be copied out before the overwrite: for rows no thread captured, it
@@ -464,7 +440,7 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
     });
   }
   releaseRecvBufs();
-  lap(applyW);
+  lap(phases.apply);
 
   // ---- Broadcast phase: ship canonical values to mirrors. ----
   tasks_.clear();
@@ -539,10 +515,10 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
         }
       },
       {.chunkSize = 1});
-  lap(packW);
+  lap(phases.pack);
 
   coll_.allToAllv(sendBufs_, recvBufs_, sim::CommPhase::kBroadcast);
-  lap(exchangeW);
+  lap(phases.exchange);
 
   // Masters own disjoint row ranges, so applying all sources' entries in
   // parallel writes disjoint rows.
@@ -576,21 +552,16 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
       },
       {.chunkSize = 1});
   releaseRecvBufs();
-  lap(applyW);
+  lap(phases.apply);
 
   // No explicit rebasing anywhere: clearTouched() declares the post-round
   // model the baseline, which covers broadcast-overwritten mirrors, masters,
   // and the locally-touched mirrors a PullModel round never refreshes alike.
   model_.clearTouched();
   ++round_;
-  phases.add(0, runtime::SyncPhase::kPack, packW);
-  phases.add(0, runtime::SyncPhase::kExchange, exchangeW);
-  phases.add(0, runtime::SyncPhase::kFold, foldW);
-  phases.add(0, runtime::SyncPhase::kApply, applyW);
 
   // Modelled communication time for this host's share of the exchange.
-  const sim::CommSnapshot after = sim::snapshot(ctx_.commStats());
-  ctx_.addModelledCommSeconds(netModel_.exchangeSeconds(sim::delta(before, after)));
+  ctx_.chargeCommSince(before);
 
   // BSP rounds end at a barrier: nobody computes ahead of stragglers.
   coll_.barrier();
@@ -605,7 +576,7 @@ void SyncEngine::doSyncSerial(const util::BitVector* willAccess) {
   const std::uint32_t dim = model_.dim();
   const bool naive = strategy_ == SyncStrategy::kRepModelNaive;
   const bool pull = strategy_ == SyncStrategy::kPullModel;
-  runtime::PhaseStats& phases = ctx_.syncPhases();
+  sim::SyncPhaseSeconds& phases = ctx_.syncPhases();
   const SyncCodec codec = syncOpts_.codec;
   const bool lossy = codec != SyncCodec::kFp32;
   const bool ef = lossy && syncOpts_.errorFeedback;
@@ -614,7 +585,6 @@ void SyncEngine::doSyncSerial(const util::BitVector* willAccess) {
   std::vector<float> dec(dim);                // one decoded row
 
   const sim::CommSnapshot before = sim::snapshot(ctx_.commStats());
-  double packW = 0.0, exchangeW = 0.0, foldW = 0.0, applyW = 0.0;
   util::WallTimer timer;
   const auto lap = [&](double& bucket) {
     bucket += timer.seconds();
@@ -646,9 +616,9 @@ void SyncEngine::doSyncSerial(const util::BitVector* willAccess) {
       }
       ctrlOut[peer] = w.take();
     }
-    lap(packW);
+    lap(phases.pack);
     coll_.allToAllv(ctrlOut, ctrlIn, sim::CommPhase::kControl);
-    lap(exchangeW);
+    lap(phases.exchange);
   }
 
   // ---- Reduce phase: ship touched (or all, for Naive) mirror deltas to
@@ -698,10 +668,10 @@ void SyncEngine::doSyncSerial(const util::BitVector* willAccess) {
     }
     reduceOut[peer] = w.take();
   }
-  lap(packW);
+  lap(phases.pack);
   std::vector<std::vector<std::uint8_t>> reduceIn(numHosts);
   coll_.allToAllv(reduceOut, reduceIn, sim::CommPhase::kReduce);
-  lap(exchangeW);
+  lap(phases.exchange);
 
   // ---- Master-side accumulation over contributions in host-id order. ----
   const std::uint32_t ownCount = ownHi - ownLo;
@@ -764,7 +734,7 @@ void SyncEngine::doSyncSerial(const util::BitVector* willAccess) {
       }
     }
   }
-  lap(foldW);
+  lap(phases.fold);
 
   // Apply combined steps to canonical values. The baseline must be copied
   // out before the overwrite: for rows no thread captured, it aliases the
@@ -781,7 +751,7 @@ void SyncEngine::doSyncSerial(const util::BitVector* willAccess) {
       util::copyInto(scratch, table.overwriteRow(n));
     }
   }
-  lap(applyW);
+  lap(phases.apply);
 
   // ---- Parse PullModel recipient lists gathered during the control
   // exchange. --------------------------------------------------------------
@@ -834,7 +804,7 @@ void SyncEngine::doSyncSerial(const util::BitVector* willAccess) {
     }
     bcastOut[peer] = w.take();
   }
-  lap(packW);
+  lap(phases.pack);
 
   // ---- Exchange broadcasts and overwrite mirrors. ------------------------
   // No explicit rebasing anywhere: clearTouched() below declares the
@@ -843,7 +813,7 @@ void SyncEngine::doSyncSerial(const util::BitVector* willAccess) {
   // never refreshes (their baseline becomes what they hold) alike.
   std::vector<std::vector<std::uint8_t>> bcastIn(numHosts);
   coll_.allToAllv(bcastOut, bcastIn, sim::CommPhase::kBroadcast);
-  lap(exchangeW);
+  lap(phases.exchange);
   for (unsigned src = 0; src < numHosts; ++src) {
     if (src == me) continue;
     ByteReader r(bcastIn[src]);
@@ -861,18 +831,13 @@ void SyncEngine::doSyncSerial(const util::BitVector* willAccess) {
       }
     }
   }
-  lap(applyW);
+  lap(phases.apply);
 
   model_.clearTouched();
   ++round_;
-  phases.add(0, runtime::SyncPhase::kPack, packW);
-  phases.add(0, runtime::SyncPhase::kExchange, exchangeW);
-  phases.add(0, runtime::SyncPhase::kFold, foldW);
-  phases.add(0, runtime::SyncPhase::kApply, applyW);
 
   // Modelled communication time for this host's share of the exchange.
-  const sim::CommSnapshot after = sim::snapshot(ctx_.commStats());
-  ctx_.addModelledCommSeconds(netModel_.exchangeSeconds(sim::delta(before, after)));
+  ctx_.chargeCommSince(before);
 
   // BSP rounds end at a barrier: nobody computes ahead of stragglers.
   coll_.barrier();

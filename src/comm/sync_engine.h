@@ -51,7 +51,6 @@
 #include "graph/partition.h"
 #include "model/embedding_table.h"
 #include "sim/cluster.h"
-#include "sim/network_model.h"
 #include "util/bitvector.h"
 
 namespace gw2v::comm {
@@ -80,7 +79,7 @@ class SyncEngine {
  public:
   SyncEngine(sim::HostContext& ctx, graph::ModelGraph& model,
              const graph::BlockedPartition& partition, const Reducer& reducer,
-             SyncStrategy strategy, sim::NetworkModel netModel = {}, SyncOptions opts = {});
+             SyncStrategy strategy, SyncOptions opts = {});
 
   /// One BSP sync round (Naive/Opt). For PullModel this overload treats
   /// "will access" as "everything" — prefer the BitVector overload there.
@@ -104,15 +103,9 @@ class SyncEngine {
 
   SyncCodec codec() const noexcept { return syncOpts_.codec; }
 
-  /// Switch the wire codec (and error-feedback arm) mid-stream. Residuals
-  /// are zeroed when the codec actually changes — stale fp16 error is
-  /// meaningless to int8 — and kept when it doesn't. All hosts must switch
-  /// at the same round boundary (SPMD).
-  void setCodec(SyncCodec codec, bool errorFeedback = true);
-
-  /// Pending quantization error for a mirror row (zeros under fp32, with
-  /// error feedback off, or for rows this host masters; empty before any
-  /// lossy round allocated the residuals). Test hook.
+  /// Pending quantization error for a mirror row (zeros with error feedback
+  /// off or for rows this host masters; empty under fp32, which keeps no
+  /// residuals). Test hook.
   std::span<const float> residualRow(graph::Label label, std::uint32_t n) const noexcept {
     const auto& t = residual_[static_cast<int>(label)];
     return n < t.numRows() ? t.row(n) : std::span<const float>{};
@@ -150,10 +143,6 @@ class SyncEngine {
 
   void exchangeWillAccess(const util::BitVector* willAccess);
 
-  /// Allocate (or zero, if `reset`) the per-label residual tables for lossy
-  /// codecs. No-op under fp32 unless resetting already-allocated tables.
-  void ensureResiduals(bool reset);
-
   sim::HostContext& ctx_;
   SimTransport transport_;
   Collectives coll_;
@@ -161,8 +150,7 @@ class SyncEngine {
   const graph::BlockedPartition& partition_;
   const Reducer& reducer_;
   SyncStrategy strategy_;
-  sim::NetworkModel netModel_;
-  SyncOptions syncOpts_;
+  const SyncOptions syncOpts_;
 
   std::uint64_t round_ = 0;
 
@@ -183,9 +171,8 @@ class SyncEngine {
   // error still owed for each mirror row. Written only through untrackedRow
   // (no dirty tracking — residuals are sync-engine state, not model state)
   // and deliberately NOT touched by rebaseline(): a rebaseline redefines the
-  // delta origin, but unshipped error stays owed. Zeroed only when the codec
-  // switches. Rows this host masters stay zero (their contributions fold
-  // locally at full precision).
+  // delta origin, but unshipped error stays owed. Rows this host masters stay
+  // zero (their contributions fold locally at full precision).
   std::array<model::EmbeddingTable, graph::kNumLabels> residual_;
   std::vector<PackTask> tasks_;
   std::vector<SegDir> segDirs_;              // numHosts × kNumLabels

@@ -236,8 +236,7 @@ TrainResult GraphWord2Vec::train(text::CorpusSource& source,
   const auto body = [&](sim::HostContext& ctx) {
     const unsigned host = ctx.id();
     graph::ModelGraph& model = *replicas[host];
-    comm::SyncEngine sync(ctx, model, partition, *reducer, opts_.strategy, opts_.netModel,
-                          opts_.sync);
+    comm::SyncEngine sync(ctx, model, partition, *reducer, opts_.strategy, opts_.sync);
     comm::SimTransport transport(ctx.network());
     comm::Collectives coll(transport, host, comm::TagSpace::kTrainer);
 
@@ -455,7 +454,6 @@ TrainResult GraphWord2Vec::train(text::CorpusSource& source,
   sim::ClusterOptions copts;
   copts.numHosts = numHosts;
   copts.workerThreadsPerHost = opts_.workerThreadsPerHost;
-  copts.networkModel = opts_.netModel;
 
   TrainResult result;
   result.cluster = sim::runCluster(copts, body);

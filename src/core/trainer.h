@@ -62,7 +62,6 @@ struct TrainOptions {
   bool shuffleEachEpoch = false;
   /// Learning-rate floor as a fraction of the initial rate (word2vec.c: 1e-4).
   float minAlphaFraction = 1e-4f;
-  sim::NetworkModel netModel{};
   /// Sync-round execution knobs: the serial reference path and the wire
   /// codec (sync.codec = fp32/fp16/int8 with sync.errorFeedback residual
   /// compensation). The parallel path always matches the serial one

@@ -52,7 +52,6 @@ struct PsTrainOptions {
   bool trackLoss = true;
   std::uint64_t seed = 42;
   float minAlphaFraction = 1e-4f;
-  sim::NetworkModel netModel{};
 };
 
 /// One epoch of the convergence-vs-modelled-wallclock curve.

@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "runtime/loop_stats.h"
 #include "runtime/thread_pool.h"
 #include "sim/comm_stats.h"
 #include "sim/network.h"
@@ -19,6 +18,17 @@
 #include "util/timer.h"
 
 namespace gw2v::sim {
+
+/// Wall seconds per stage of the sync critical path (comm::SyncEngine);
+/// `exchange` is time blocked draining the fabric.
+struct SyncPhaseSeconds {
+  double pack = 0.0;
+  double exchange = 0.0;
+  double fold = 0.0;
+  double apply = 0.0;
+
+  double total() const noexcept { return pack + exchange + fold + apply; }
+};
 
 class HostContext {
  public:
@@ -40,14 +50,18 @@ class HostContext {
   util::CpuStopwatch& computeTimer() noexcept { return compute_; }
   double computeSeconds() const noexcept { return compute_.seconds(); }
 
-  /// Modelled communication time accumulated by sync phases.
-  void addModelledCommSeconds(double s) noexcept { simComm_ += s; }
+  /// Charge the traffic this host sent and drained since `mark` (a
+  /// snapshot(commStats()) taken earlier) to its modelled communication
+  /// time on kFabric. Every modelled charge goes through here; an empty
+  /// mark charges the host's whole run so far.
+  void chargeCommSince(const CommSnapshot& mark) noexcept {
+    simComm_ += kFabric.exchangeSeconds(delta(mark, snapshot(commStats())));
+  }
   double modelledCommSeconds() const noexcept { return simComm_; }
 
   /// Wall-clock breakdown of the sync critical path (pack / exchange-wait /
-  /// fold / apply), recorded by comm::SyncEngine every round.
-  runtime::PhaseStats& syncPhases() noexcept { return syncPhases_; }
-  runtime::SyncPhaseSeconds syncPhaseSeconds() const { return syncPhases_.totals(); }
+  /// fold / apply), accumulated by comm::SyncEngine every round.
+  SyncPhaseSeconds& syncPhases() noexcept { return syncPhases_; }
 
  private:
   HostId id_;
@@ -55,21 +69,20 @@ class HostContext {
   runtime::ThreadPool pool_;
   util::CpuStopwatch compute_;
   double simComm_ = 0.0;
-  runtime::PhaseStats syncPhases_{1};
+  SyncPhaseSeconds syncPhases_{};
 };
 
 struct ClusterOptions {
   unsigned numHosts = 1;
   /// Hogwild worker threads *per host*.
   unsigned workerThreadsPerHost = 1;
-  NetworkModel networkModel{};
 };
 
 struct HostReport {
   double computeSeconds = 0.0;
   double modelledCommSeconds = 0.0;
   CommSnapshot comm{};
-  runtime::SyncPhaseSeconds sync{};
+  SyncPhaseSeconds sync{};
 };
 
 struct ClusterReport {
@@ -103,8 +116,8 @@ struct ClusterReport {
   }
   /// Per-phase maxima across hosts — the straggler view of where sync wall
   /// time goes (pack/exchange/fold/apply).
-  runtime::SyncPhaseSeconds maxSyncPhaseSeconds() const noexcept {
-    runtime::SyncPhaseSeconds worst{};
+  SyncPhaseSeconds maxSyncPhaseSeconds() const noexcept {
+    SyncPhaseSeconds worst{};
     for (const auto& h : hosts) {
       worst.pack = h.sync.pack > worst.pack ? h.sync.pack : worst.pack;
       worst.exchange = h.sync.exchange > worst.exchange ? h.sync.exchange : worst.exchange;

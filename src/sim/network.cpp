@@ -15,19 +15,13 @@ void Network::send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> pa
                    CommPhase phase) {
   assert(src < numHosts_ && dst < numHosts_);
   if (aborted()) throw NetworkAborted();
-  const std::uint64_t wire = payload.size() + kHeaderBytes;
-  stats_[src].recordSend(phase, wire);
-  stats_[dst].recordReceive(phase, wire);
-  if (src == dst) {
-    // Loopback still goes through the mailbox so the programming model is
-    // uniform, but a real NIC would not be crossed; keep the accounting — a
-    // single-host cluster simply has near-zero cross-host traffic by
-    // construction (the sync engine never loops back bulk data).
-  }
+  // Loopback still goes through the mailbox and is accounted like any other
+  // message; the sync engines never loop back bulk data.
+  stats_[src].recordSend(phase, payload.size() + kHeaderBytes);
   Mailbox& mb = mailboxes_[dst];
   {
     std::lock_guard<std::mutex> lock(mb.mutex);
-    mb.messages.push_back(Message{src, tag, std::move(payload)});
+    mb.messages.push_back(Message{src, tag, phase, std::move(payload)});
   }
   mb.cv.notify_all();
 }
@@ -42,6 +36,7 @@ std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag, CommPha
       return m.src == src && m.tag == tag;
     });
     if (it != mb.messages.end()) {
+      stats_[dst].recordReceive(it->phase, it->payload.size() + kHeaderBytes);
       std::vector<std::uint8_t> payload = std::move(it->payload);
       mb.messages.erase(it);
       return payload;
@@ -60,6 +55,7 @@ std::pair<HostId, std::vector<std::uint8_t>> Network::recvAny(HostId dst, int ta
     const auto it = std::find_if(mb.messages.begin(), mb.messages.end(),
                                  [&](const Message& m) { return m.tag == tag; });
     if (it != mb.messages.end()) {
+      stats_[dst].recordReceive(it->phase, it->payload.size() + kHeaderBytes);
       std::pair<HostId, std::vector<std::uint8_t>> out{it->src, std::move(it->payload)};
       mb.messages.erase(it);
       return out;

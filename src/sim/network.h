@@ -44,10 +44,15 @@ class Network {
   /// src, dst, tag, size), mirroring a real transport's framing cost.
   static constexpr std::uint64_t kHeaderBytes = 16;
 
+  /// Books the send on `src` now; the receive is booked on `dst`, under the
+  /// sender's `phase`, when `dst` drains the message in recv/recvAny. A
+  /// host's traffic since a mark is therefore exactly what it sent and
+  /// drained in that window, however far its peers run ahead.
   void send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> payload,
             CommPhase phase = CommPhase::kOther);
 
-  /// Blocking receive matching (src, tag) at host `dst`.
+  /// Blocking receive matching (src, tag) at host `dst`. The receive is
+  /// booked under the phase the sender gave; `phase` is not consulted.
   std::vector<std::uint8_t> recv(HostId dst, HostId src, int tag,
                                  CommPhase phase = CommPhase::kOther);
 
@@ -105,6 +110,7 @@ class Network {
   struct Message {
     HostId src;
     int tag;
+    CommPhase phase;
     std::vector<std::uint8_t> payload;
   };
 

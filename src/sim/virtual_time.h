@@ -39,8 +39,7 @@ namespace gw2v::sim {
 
 class VirtualTimeBoard {
  public:
-  VirtualTimeBoard(unsigned numHosts, NetworkModel model)
-      : model_(model), clock_(numHosts), nicFree_(numHosts) {}
+  explicit VirtualTimeBoard(unsigned numHosts) : clock_(numHosts), nicFree_(numHosts) {}
 
   unsigned numHosts() const noexcept { return static_cast<unsigned>(clock_.size()); }
 
@@ -66,9 +65,9 @@ class VirtualTimeBoard {
     const double leave = std::max(readyVt, nicFree_[h].load());
     // NIC occupancy is the beta term only; the receiver additionally pays the
     // one-message alpha below, matching NetworkModel::transferSeconds.
-    nicFree_[h].store(leave + static_cast<double>(wire) / model_.bandwidthBytesPerSec);
+    nicFree_[h].store(leave + static_cast<double>(wire) / kFabric.bandwidthBytesPerSec);
     clock_[h].store(std::max(clock_[h].load(), leave));
-    return leave + model_.transferSeconds(wire, 1);
+    return leave + kFabric.transferSeconds(wire, 1);
   }
 
   /// Fold a message's arrival stamp into host `h`'s clock.
@@ -91,7 +90,6 @@ class VirtualTimeBoard {
     void store(double x) noexcept { v.store(x, std::memory_order_relaxed); }
   };
 
-  NetworkModel model_;
   std::vector<Cell> clock_;
   std::vector<Cell> nicFree_;
 };

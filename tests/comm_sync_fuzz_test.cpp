@@ -135,7 +135,7 @@ EngineRun runEngine(const FuzzConfig& cfg, const Reducer& reducer, unsigned thre
   copts.workerThreadsPerHost = threads;
   const auto report = sim::runCluster(copts, [&](sim::HostContext& ctx) {
     ModelGraph& model = *run.replicas[ctx.id()];
-    SyncEngine engine(ctx, model, partition, reducer, cfg.strategy, {}, sopts);
+    SyncEngine engine(ctx, model, partition, reducer, cfg.strategy, sopts);
     std::vector<float> d;
     for (unsigned round = 0; round < cfg.rounds; ++round) {
       for (int label = 0; label < graph::kNumLabels; ++label) {

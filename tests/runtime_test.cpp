@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "runtime/do_all.h"
-#include "runtime/loop_stats.h"
 #include "runtime/per_thread.h"
 #include "runtime/thread_pool.h"
 #include "runtime/work_queue.h"
@@ -197,32 +196,6 @@ TEST(WorkQueue, ConcurrentProducersConsumers) {
     while (auto chunk = q.popChunk()) consumed.fetch_add(static_cast<int>(chunk->size()));
   });
   EXPECT_EQ(consumed.load(), 4000);
-}
-
-TEST(LoopStats, AggregatesAcrossThreads) {
-  LoopStats stats(3);
-  stats.recordIteration(0, 10);
-  stats.recordIteration(1, 5);
-  stats.recordPush(2, 7);
-  const auto total = stats.total();
-  EXPECT_EQ(total.iterations, 15u);
-  EXPECT_EQ(total.pushes, 7u);
-}
-
-TEST(PhaseStats, SumsPerPhaseAcrossThreads) {
-  PhaseStats stats(3);
-  stats.add(0, SyncPhase::kPack, 1.0);
-  stats.add(1, SyncPhase::kPack, 0.5);
-  stats.add(2, SyncPhase::kExchange, 2.0);
-  stats.add(0, SyncPhase::kFold, 0.25);
-  stats.add(1, SyncPhase::kApply, 0.125);
-  const SyncPhaseSeconds t = stats.totals();
-  EXPECT_DOUBLE_EQ(t.pack, 1.5);
-  EXPECT_DOUBLE_EQ(t.exchange, 2.0);
-  EXPECT_DOUBLE_EQ(t.fold, 0.25);
-  EXPECT_DOUBLE_EQ(t.apply, 0.125);
-  EXPECT_DOUBLE_EQ(t.total(), 3.875);
-  EXPECT_STREQ(syncPhaseName(SyncPhase::kFold), "fold");
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "sim/network_model.h"
 
@@ -72,14 +74,89 @@ TEST(Cluster, ComputeTimerAccumulates) {
 
 TEST(Cluster, ModelledCommSecondsFlowThrough) {
   ClusterOptions opts;
-  opts.numHosts = 1;
+  opts.numHosts = 2;
   const auto report = runCluster(opts, [&](HostContext& ctx) {
-    ctx.addModelledCommSeconds(1.25);
-    ctx.addModelledCommSeconds(0.25);
+    const HostId peer = 1 - ctx.id();
+    ctx.network().send(ctx.id(), peer, 7, std::vector<std::uint8_t>(1000));
+    (void)ctx.network().recv(ctx.id(), peer, 7);
+    ctx.chargeCommSince({});
+    ctx.chargeCommSince(snapshot(ctx.commStats()));  // no traffic since: free
   });
-  EXPECT_DOUBLE_EQ(report.hosts[0].modelledCommSeconds, 1.5);
-  EXPECT_DOUBLE_EQ(report.maxModelledCommSeconds(), 1.5);
-  EXPECT_GE(report.simulatedSeconds(), 1.5);
+  const std::uint64_t wire = 1000 + Network::kHeaderBytes;
+  const double expected = kFabric.exchangeSeconds(CommSnapshot{wire, wire, 1, 0});
+  for (const auto& h : report.hosts) EXPECT_DOUBLE_EQ(h.modelledCommSeconds, expected);
+  EXPECT_DOUBLE_EQ(report.maxModelledCommSeconds(), expected);
+  EXPECT_GE(report.simulatedSeconds(), expected);
+}
+
+TEST(Cluster, ChargeCountsBytesSentBeforeTheMark) {
+  // Host 0 sends before host 1 takes its mark; host 1 drains the message
+  // after. The receive belongs to the window it was drained in.
+  ClusterOptions opts;
+  opts.numHosts = 2;
+  const auto report = runCluster(opts, [&](HostContext& ctx) {
+    if (ctx.id() == 0) ctx.network().send(0, 1, 3, std::vector<std::uint8_t>(64));
+    ctx.barrier();
+    if (ctx.id() == 1) {
+      const CommSnapshot mark = snapshot(ctx.commStats());
+      (void)ctx.network().recv(1, 0, 3);
+      ctx.chargeCommSince(mark);
+    }
+  });
+  const std::uint64_t wire = 64 + Network::kHeaderBytes;
+  EXPECT_DOUBLE_EQ(report.hosts[1].modelledCommSeconds,
+                   kFabric.exchangeSeconds(CommSnapshot{0, wire, 0, 0}));
+  EXPECT_EQ(report.hosts[1].comm.bytesReceived, wire);
+}
+
+TEST(Cluster, ChargeLeavesUndrainedBytesToTheWindowThatDrainsThem) {
+  // A message sitting in the mailbox costs its receiver nothing until it is
+  // drained; the window that drains it pays for it exactly once.
+  ClusterOptions opts;
+  opts.numHosts = 2;
+  const auto report = runCluster(opts, [&](HostContext& ctx) {
+    if (ctx.id() == 0) {
+      ctx.network().send(0, 1, 5, std::vector<std::uint8_t>(200));
+      ctx.barrier();
+      return;
+    }
+    const CommSnapshot first = snapshot(ctx.commStats());
+    ctx.barrier();  // host 0 has sent; nothing drained yet
+    ctx.chargeCommSince(first);
+    EXPECT_DOUBLE_EQ(ctx.modelledCommSeconds(), 0.0);
+    const CommSnapshot second = snapshot(ctx.commStats());
+    (void)ctx.network().recv(1, 0, 5);
+    ctx.chargeCommSince(second);
+  });
+  const std::uint64_t wire = 200 + Network::kHeaderBytes;
+  EXPECT_DOUBLE_EQ(report.hosts[1].modelledCommSeconds,
+                   kFabric.exchangeSeconds(CommSnapshot{0, wire, 0, 0}));
+  EXPECT_EQ(report.hosts[0].comm.bytesReceived, 0u);
+  EXPECT_EQ(report.hosts[1].comm.bytesReceived, wire);
+}
+
+TEST(Cluster, SyncPhaseSecondsReportedPerHostAndMaxedAcrossHosts) {
+  ClusterOptions opts;
+  opts.numHosts = 3;
+  const auto report = runCluster(opts, [&](HostContext& ctx) {
+    SyncPhaseSeconds& s = ctx.syncPhases();
+    const double h = ctx.id();
+    s.pack += 1.0 + h;  // accumulates across rounds
+    s.pack += 0.5;
+    s.exchange += 3.0 - h;
+    s.fold += h == 1 ? 0.25 : 0.0;
+    s.apply += 0.125 * (h + 1);
+  });
+  ASSERT_EQ(report.hosts.size(), 3u);
+  EXPECT_DOUBLE_EQ(report.hosts[0].sync.pack, 1.5);
+  EXPECT_DOUBLE_EQ(report.hosts[1].sync.fold, 0.25);
+  EXPECT_DOUBLE_EQ(report.hosts[2].sync.total(), 3.5 + 1.0 + 0.0 + 0.375);
+  const SyncPhaseSeconds worst = report.maxSyncPhaseSeconds();
+  EXPECT_DOUBLE_EQ(worst.pack, 3.5);      // host 2
+  EXPECT_DOUBLE_EQ(worst.exchange, 3.0);  // host 0
+  EXPECT_DOUBLE_EQ(worst.fold, 0.25);     // host 1
+  EXPECT_DOUBLE_EQ(worst.apply, 0.375);   // host 2
+  EXPECT_DOUBLE_EQ(worst.total(), 7.125);
 }
 
 TEST(Cluster, ExceptionPropagatesFromHost) {

@@ -87,10 +87,18 @@ TEST(Network, StatsCountHeaderAndPayload) {
   net.send(0, 1, 1, bytes({1, 2, 3, 4}), CommPhase::kReduce);
   EXPECT_EQ(net.statsFor(0).bytesSent(), 4 + Network::kHeaderBytes);
   EXPECT_EQ(net.statsFor(0).messagesSent(), 1u);
+  // The receive is booked when host 1 drains the message, not at send.
+  EXPECT_EQ(net.statsFor(1).bytesReceived(), 0u);
+  (void)net.recv(1, 0, 1);
   EXPECT_EQ(net.statsFor(1).bytesReceived(), 4 + Network::kHeaderBytes);
   EXPECT_EQ(net.statsFor(0).bytesSent(CommPhase::kReduce), 4 + Network::kHeaderBytes);
   EXPECT_EQ(net.statsFor(0).bytesSent(CommPhase::kBroadcast), 0u);
   EXPECT_EQ(net.totalBytesSent(), 4 + Network::kHeaderBytes);
+  // Same for an any-source receive.
+  net.send(0, 1, 2, bytes({5}), CommPhase::kBroadcast);
+  EXPECT_EQ(net.statsFor(1).bytesReceived(), 4 + Network::kHeaderBytes);
+  (void)net.recvAny(1, 2);
+  EXPECT_EQ(net.statsFor(1).bytesReceived(), 5 + 2 * Network::kHeaderBytes);
 }
 
 TEST(Network, ResetStatsZeroes) {
