@@ -189,24 +189,24 @@ BENCHMARK(BM_SgnsStepBatched)
     ->Args({8, 200})
     ->Args({16, 200});
 
-// Allreduce algorithms head-to-head on the simulated fabric: the naive star
-// (root drains H-1 full payloads), the bandwidth-optimal ring, and the
-// binomial tree. One iteration = one full allreduce across `hosts` threads;
-// bytes_per_second counts the logical payload once.
+// allReduceSum on the simulated fabric across payload sizes and host
+// counts. The library picks the algorithm from (n, H): the binomial tree
+// below 2H elements (n = 8 here), the bandwidth-optimal ring from there up;
+// the label names the one that ran. One iteration = one full allreduce
+// across `hosts` threads; bytes_per_second counts the logical payload once.
 void BM_Collectives(benchmark::State& state) {
-  const auto algo = static_cast<comm::CollectiveAlgo>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
-  const auto numHosts = static_cast<unsigned>(state.range(2));
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto numHosts = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
     sim::Network net(numHosts);
     std::vector<std::thread> threads;
     threads.reserve(numHosts);
     for (unsigned h = 0; h < numHosts; ++h) {
-      threads.emplace_back([&net, h, n, algo] {
+      threads.emplace_back([&net, h, n] {
         comm::SimTransport transport(net);
         comm::Collectives coll(transport, h, comm::TagSpace::kBench);
         std::vector<double> v(n, static_cast<double>(h));
-        coll.allReduceSum(v, algo);
+        coll.allReduceSum(v);
         benchmark::DoNotOptimize(v.data());
       });
     }
@@ -214,29 +214,12 @@ void BM_Collectives(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(n) *
                           static_cast<std::int64_t>(sizeof(double)));
-  state.SetLabel(comm::collectiveAlgoName(algo));
+  state.SetLabel(n >= 2 * static_cast<std::size_t>(numHosts) ? "ring" : "tree");
 }
 BENCHMARK(BM_Collectives)
-    ->ArgNames({"algo", "n", "hosts"})
+    ->ArgNames({"n", "hosts"})
     ->Unit(benchmark::kMillisecond)
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kNaive), 1 << 10, 8})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kRing), 1 << 10, 8})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kTree), 1 << 10, 8})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kNaive), 1 << 16, 8})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kRing), 1 << 16, 8})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kTree), 1 << 16, 8})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kNaive), 1 << 20, 8})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kRing), 1 << 20, 8})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kTree), 1 << 20, 8})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kNaive), 1 << 10, 32})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kRing), 1 << 10, 32})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kTree), 1 << 10, 32})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kNaive), 1 << 16, 32})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kRing), 1 << 16, 32})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kTree), 1 << 16, 32})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kNaive), 1 << 20, 32})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kRing), 1 << 20, 32})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kTree), 1 << 20, 32});
+    ->ArgsProduct({{8, 1 << 10, 1 << 16, 1 << 20}, {8, 32}});
 
 void BM_BitVectorSet(benchmark::State& state) {
   util::BitVector bv(1 << 20);

@@ -2,26 +2,18 @@
 
 // Algorithmic collectives built only on the Transport contract.
 //
-// The substrate's original collectives were star loops through host 0:
-// O(H·n) bytes at the root and serialized in-order receives. This layer
-// provides the proper MPI-style algorithms:
-//
-//   allReduce   ring reduce-scatter + all-gather — ~2·n·(H−1)/H bytes per
-//               rank, perfectly balanced — or binomial tree reduce+broadcast
-//               for payloads too small to chunk; the star survives only as
-//               the `kNaive` reference implementation used by tests/benches.
-//   broadcast   binomial tree, ceil(log2 H) rounds.
-//   reduce      binomial tree to a root (non-root buffers are clobbered
-//               with partial folds).
-//   gatherv     variable-size payloads to a root, drained with recvAny.
-//   allGatherv  ring: every rank forwards each block once.
-//   allToAllv   personalized payload per peer, drained with recvAny — the
-//               primitive behind the sync engines' sparse exchanges.
-//
-// Reductions are pluggable: pass a CollOp (Sum/Min/Max) or any callable
-// `fold(std::span<T> acc, std::span<const T> incoming)` — the same
-// elementwise-fold shape as comm::Reducer::accumulate, so Sum/Avg folds
-// share one code path with the sync engine's reducer.
+//   allReduceSum  elementwise sum of doubles. Payloads of at least 2H
+//                 elements take the ring reduce-scatter + all-gather —
+//                 ~2·n·(H−1)/H bytes per rank, perfectly balanced — and
+//                 smaller ones, too small to chunk, a binomial-tree reduce to
+//                 rank 0 followed by a tree broadcast. The rule depends only
+//                 on (n, H), so every rank picks the same algorithm without
+//                 coordination, as an MPI library does for MPI_Allreduce.
+//   broadcast     binomial tree, ceil(log2 H) rounds.
+//   gatherv       variable-size payloads to a root, drained with recvAny.
+//   allGatherv    ring: every rank forwards each block once.
+//   allToAllv     personalized payload per peer, drained with recvAny — the
+//                 primitive behind the sync engines' sparse exchanges.
 //
 // Tag discipline: every operation draws a fresh tag from a per-instance
 // sequence, so late receivers can never mix operations. Instances that are
@@ -30,13 +22,14 @@
 // so the sequences agree across ranks by construction).
 //
 // Cost accounting: each collective records its serialized round count
-// (ring: 2(H−1), tree: ceil(log2 H), star: 2(H−1) at and behind the root)
-// via CommStats::recordCollectiveRounds, and NetworkModel charges
-// max(messages, rounds) × latency — tree depth and root serialization show
-// up in modelled time even where per-rank message counts would hide them.
+// (ring allreduce: 2(H−1), tree reduce or broadcast: ceil(log2 H), root
+// drains: H−1) via CommStats::recordCollectiveRounds, and NetworkModel
+// charges max(messages, rounds) × latency — tree depth and root
+// serialization show up in modelled time even where per-rank message counts
+// would hide them.
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -46,11 +39,6 @@
 #include "sim/comm_stats.h"
 
 namespace gw2v::comm {
-
-enum class CollectiveAlgo : int { kAuto = 0, kNaive = 1, kRing = 2, kTree = 3 };
-enum class CollOp : int { kSum = 0, kMin = 1, kMax = 2 };
-
-const char* collectiveAlgoName(CollectiveAlgo a) noexcept;
 
 /// Concurrently-live Collectives instances on one transport must not share a
 /// tag space (their operation sequences would collide). Each subsystem gets
@@ -94,78 +82,52 @@ class Collectives {
 
   void barrier() { t_.barrier(me_); }
 
-  // ---- Dense typed collectives. ----
+  /// In-place elementwise sum; the result is identical on every rank. Ring
+  /// when values.size() >= 2H, tree reduce + broadcast below that.
+  void allReduceSum(std::span<double> values);
 
-  /// In-place allreduce with a built-in elementwise op.
+  /// In-place binomial-tree broadcast from `root`; non-root buffers are
+  /// overwritten. Standard MPICH rank relabelling: the receive loop finds the
+  /// parent at this rank's lowest set bit; the send loop covers the
+  /// remaining lower bits.
   template <typename T>
-  void allReduce(std::span<T> values, CollOp op, CollectiveAlgo algo = CollectiveAlgo::kAuto,
-                 sim::CommPhase phase = sim::CommPhase::kReduce) {
-    allReduceWith(
-        values,
-        [op](std::span<T> acc, std::span<const T> in) { foldOp(op, acc, in); },
-        algo, phase);
-  }
-
-  /// In-place allreduce with a pluggable elementwise fold
-  /// `fold(acc, incoming)`; the result is identical on every rank.
-  template <typename T, typename Fold>
-  void allReduceWith(std::span<T> values, Fold fold,
-                     CollectiveAlgo algo = CollectiveAlgo::kAuto,
-                     sim::CommPhase phase = sim::CommPhase::kReduce) {
-    if (numRanks_ <= 1 || values.empty()) return;
-    switch (resolveAllReduce(algo, values.size())) {
-      case CollectiveAlgo::kRing:
-        ringAllReduce(values, fold, phase);
-        break;
-      case CollectiveAlgo::kTree:
-        treeReduce(values, 0, fold, phase);
-        broadcast(values, 0, CollectiveAlgo::kTree, phase);
-        break;
-      default:
-        naiveAllReduce(values, fold, phase);
-        break;
-    }
-  }
-
-  void allReduceSum(std::span<double> values,
-                    CollectiveAlgo algo = CollectiveAlgo::kAuto,
-                    sim::CommPhase phase = sim::CommPhase::kReduce) {
-    allReduce(values, CollOp::kSum, algo, phase);
-  }
-
-  /// In-place broadcast from `root`; non-root buffers are overwritten.
-  template <typename T>
-  void broadcast(std::span<T> values, RankId root,
-                 CollectiveAlgo algo = CollectiveAlgo::kAuto,
-                 sim::CommPhase phase = sim::CommPhase::kBroadcast) {
+  void broadcast(std::span<T> values, RankId root) {
     if (numRanks_ <= 1) return;
-    if (algo == CollectiveAlgo::kNaive) {
-      naiveBroadcast(values, root, phase);
-    } else {
-      treeBroadcast(values, root, phase);
+    const unsigned H = numRanks_;
+    const int tag = nextTag();
+    const unsigned vr = (me_ + H - root) % H;
+    unsigned mask = 1;
+    while (mask < H) {
+      if (vr & mask) {
+        const RankId src = (vr - mask + root) % H;
+        const std::vector<T> in = t_.recvElems<T>(me_, src, tag);
+        if (in.size() != values.size())
+          throw std::runtime_error("broadcast: size mismatch across ranks");
+        std::copy(in.begin(), in.end(), values.begin());
+        break;
+      }
+      mask <<= 1;
     }
+    mask >>= 1;
+    while (mask > 0) {
+      if (vr + mask < H) {
+        const RankId dst = (vr + mask + root) % H;
+        t_.sendElems<T>(me_, dst, tag, std::span<const T>(values));
+      }
+      mask >>= 1;
+    }
+    recordRounds(ceilLog2(H));
   }
 
-  /// Binomial-tree reduce into `root`'s buffer. Non-root buffers hold
-  /// unspecified partial folds afterwards.
-  template <typename T, typename Fold>
-  void reduce(std::span<T> values, RankId root, Fold fold,
-              sim::CommPhase phase = sim::CommPhase::kReduce) {
-    if (numRanks_ <= 1 || values.empty()) return;
-    treeReduce(values, root, fold, phase);
-  }
-
-  // ---- Variable-size byte collectives (implemented in collectives.cpp). ----
+  // ---- Variable-size byte collectives. ----
 
   /// Gather every rank's payload at `root`, drained with recvAny. Returns a
   /// per-source vector at the root (own payload included); empty elsewhere.
-  std::vector<std::vector<std::uint8_t>> gatherv(std::vector<std::uint8_t> mine, RankId root,
-                                                 sim::CommPhase phase = sim::CommPhase::kReduce);
+  std::vector<std::vector<std::uint8_t>> gatherv(std::vector<std::uint8_t> mine, RankId root);
 
   /// Every rank ends up with every rank's payload (ring forwarding: each
   /// block crosses each link exactly once). Indexed by source rank.
-  std::vector<std::vector<std::uint8_t>> allGatherv(
-      std::vector<std::uint8_t> mine, sim::CommPhase phase = sim::CommPhase::kBroadcast);
+  std::vector<std::vector<std::uint8_t>> allGatherv(std::vector<std::uint8_t> mine);
 
   /// Personalized exchange over caller-owned slot vectors (one slot per
   /// rank): `toPeer[p]` is moved out to rank p and `from[src]` receives rank
@@ -173,37 +135,12 @@ class Collectives {
   /// across calls lets callers recycle payload buffers. The drain uses
   /// recvAny, so a slow peer never blocks faster ones.
   void allToAllv(std::vector<std::vector<std::uint8_t>>& toPeer,
-                 std::vector<std::vector<std::uint8_t>>& from,
-                 sim::CommPhase phase = sim::CommPhase::kOther);
+                 std::vector<std::vector<std::uint8_t>>& from);
 
   /// Operations issued so far (tags consumed); equal on every rank in SPMD.
   std::uint64_t opsIssued() const noexcept { return seq_; }
 
  private:
-  template <typename T>
-  static void foldOp(CollOp op, std::span<T> acc, std::span<const T> in) {
-    switch (op) {
-      case CollOp::kSum:
-        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += in[i];
-        break;
-      case CollOp::kMin:
-        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = in[i] < acc[i] ? in[i] : acc[i];
-        break;
-      case CollOp::kMax:
-        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = in[i] > acc[i] ? in[i] : acc[i];
-        break;
-    }
-  }
-
-  /// Ring needs >= 1 element per chunk to beat the tree; tiny payloads take
-  /// the 2·ceil(log2 H)-round tree instead. Deterministic in (n, H) so all
-  /// ranks agree without coordination.
-  CollectiveAlgo resolveAllReduce(CollectiveAlgo algo, std::size_t n) const noexcept {
-    if (algo != CollectiveAlgo::kAuto) return algo;
-    return n >= 2 * static_cast<std::size_t>(numRanks_) ? CollectiveAlgo::kRing
-                                                        : CollectiveAlgo::kTree;
-  }
-
   static unsigned ceilLog2(unsigned v) noexcept {
     unsigned r = 0;
     while ((1u << r) < v) ++r;
@@ -223,148 +160,8 @@ class Collectives {
     t_.statsFor(me_).recordCollectiveRounds(rounds);
   }
 
-  template <typename T>
-  std::span<T> chunkOf(std::span<T> v, unsigned c) const noexcept {
-    const std::size_t lo = v.size() * c / numRanks_;
-    const std::size_t hi = v.size() * (c + 1) / numRanks_;
-    return v.subspan(lo, hi - lo);
-  }
-
-  // Ring reduce-scatter + all-gather: step s, rank i sends chunk (i−s) mod H
-  // right and folds chunk (i−s−1) mod H from the left; after H−1 steps rank i
-  // owns the fully-reduced chunk (i+1) mod H, which the all-gather circulates.
-  template <typename T, typename Fold>
-  void ringAllReduce(std::span<T> v, Fold& fold, sim::CommPhase phase) {
-    const unsigned H = numRanks_;
-    const int tag = nextTag();
-    const RankId right = (me_ + 1) % H;
-    const RankId left = (me_ + H - 1) % H;
-    for (unsigned s = 0; s < H - 1; ++s) {
-      const auto out = chunkOf(std::span<const T>(v), (me_ + H - s) % H);
-      t_.sendElems<T>(me_, right, tag, out, phase);
-      const std::vector<T> in = t_.recvElems<T>(me_, left, tag, phase);
-      const auto dst = chunkOf(v, (me_ + H - s - 1) % H);
-      if (in.size() != dst.size())
-        throw std::runtime_error("ring allreduce: chunk size mismatch across ranks");
-      fold(dst, std::span<const T>(in));
-    }
-    for (unsigned s = 0; s < H - 1; ++s) {
-      const auto out = chunkOf(std::span<const T>(v), (me_ + 1 + H - s) % H);
-      t_.sendElems<T>(me_, right, tag + 1, out, phase);
-      const std::vector<T> in = t_.recvElems<T>(me_, left, tag + 1, phase);
-      const auto dst = chunkOf(v, (me_ + H - s) % H);
-      if (in.size() != dst.size())
-        throw std::runtime_error("ring allgather: chunk size mismatch across ranks");
-      std::copy(in.begin(), in.end(), dst.begin());
-    }
-    recordRounds(2 * (H - 1));
-  }
-
-  // Binomial tree rooted at `root`, standard MPICH rank-relabelling: the
-  // receive loop finds the parent at this rank's lowest set bit; the send
-  // loop covers the remaining lower bits.
-  template <typename T>
-  void treeBroadcast(std::span<T> v, RankId root, sim::CommPhase phase) {
-    const unsigned H = numRanks_;
-    const int tag = nextTag();
-    const unsigned vr = (me_ + H - root) % H;
-    unsigned mask = 1;
-    while (mask < H) {
-      if (vr & mask) {
-        const RankId src = (vr - mask + root) % H;
-        const std::vector<T> in = t_.recvElems<T>(me_, src, tag, phase);
-        if (in.size() != v.size())
-          throw std::runtime_error("broadcast: size mismatch across ranks");
-        std::copy(in.begin(), in.end(), v.begin());
-        break;
-      }
-      mask <<= 1;
-    }
-    mask >>= 1;
-    while (mask > 0) {
-      if (vr + mask < H) {
-        const RankId dst = (vr + mask + root) % H;
-        t_.sendElems<T>(me_, dst, tag, std::span<const T>(v), phase);
-      }
-      mask >>= 1;
-    }
-    recordRounds(ceilLog2(H));
-  }
-
-  template <typename T, typename Fold>
-  void treeReduce(std::span<T> v, RankId root, Fold& fold, sim::CommPhase phase) {
-    const unsigned H = numRanks_;
-    const int tag = nextTag();
-    const unsigned vr = (me_ + H - root) % H;
-    unsigned mask = 1;
-    while (mask < H) {
-      if ((vr & mask) == 0) {
-        if (vr + mask < H) {
-          const RankId src = (vr + mask + root) % H;
-          const std::vector<T> in = t_.recvElems<T>(me_, src, tag, phase);
-          if (in.size() != v.size())
-            throw std::runtime_error("reduce: size mismatch across ranks");
-          fold(v, std::span<const T>(in));
-        }
-      } else {
-        const RankId dst = (vr - mask + root) % H;
-        t_.sendElems<T>(me_, dst, tag, std::span<const T>(v), phase);
-        break;
-      }
-      mask <<= 1;
-    }
-    recordRounds(ceilLog2(H));
-  }
-
-  // Star through rank 0 — the reference implementation tests compare the
-  // algorithmic collectives against. The root drains contributions in
-  // arrival order (recvAny) but folds them in rank order for determinism.
-  template <typename T, typename Fold>
-  void naiveAllReduce(std::span<T> v, Fold& fold, sim::CommPhase phase) {
-    const unsigned H = numRanks_;
-    const int tag = nextTag();
-    if (me_ == 0) {
-      std::vector<std::vector<T>> contrib(H);
-      for (unsigned k = 1; k < H; ++k) {
-        auto [src, payload] = t_.recvAny(0, tag, phase);
-        contrib[src] = Transport::elemsFromBytes<T>(payload);
-      }
-      for (unsigned src = 1; src < H; ++src) {
-        if (contrib[src].size() != v.size())
-          throw std::runtime_error("naive allreduce: size mismatch across ranks");
-        fold(v, std::span<const T>(contrib[src]));
-      }
-      for (RankId dst = 1; dst < H; ++dst) {
-        t_.sendElems<T>(0, dst, tag + 1, std::span<const T>(v), phase);
-      }
-    } else {
-      t_.sendElems<T>(me_, 0, tag, std::span<const T>(v), phase);
-      const std::vector<T> result = t_.recvElems<T>(me_, 0, tag + 1, phase);
-      if (result.size() != v.size())
-        throw std::runtime_error("naive allreduce: size mismatch across ranks");
-      std::copy(result.begin(), result.end(), v.begin());
-    }
-    // Everyone waits out the root's serialized drain + re-send.
-    recordRounds(2 * (H - 1));
-  }
-
-  template <typename T>
-  void naiveBroadcast(std::span<T> v, RankId root, sim::CommPhase phase) {
-    const unsigned H = numRanks_;
-    const int tag = nextTag();
-    if (me_ == root) {
-      for (RankId dst = 0; dst < H; ++dst) {
-        if (dst == root) continue;
-        t_.sendElems<T>(me_, dst, tag, std::span<const T>(v), phase);
-      }
-    } else {
-      const std::vector<T> in = t_.recvElems<T>(me_, root, tag, phase);
-      if (in.size() != v.size())
-        throw std::runtime_error("naive broadcast: size mismatch across ranks");
-      std::copy(in.begin(), in.end(), v.begin());
-    }
-    recordRounds(H - 1);
-  }
+  void ringAllReduceSum(std::span<double> v);
+  void treeReduceSum(std::span<double> v);  // into rank 0
 
   Transport& t_;
   RankId me_;

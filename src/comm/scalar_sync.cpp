@@ -44,7 +44,7 @@ std::uint64_t ScalarSyncEngine::sync() {
     reduceOut[peer] = w.take();
   }
   std::vector<std::vector<std::uint8_t>> reduceIn(numHosts);
-  coll_.allToAllv(reduceOut, reduceIn, sim::CommPhase::kReduce);
+  coll_.allToAllv(reduceOut, reduceIn);
 
   // Master-side fold. Track which owned labels improved.
   std::uint64_t changed = 0;
@@ -77,7 +77,7 @@ std::uint64_t ScalarSyncEngine::sync() {
     w.put(values_[n]);
   });
   const std::vector<std::vector<std::uint8_t>> bcastIn =
-      coll_.allGatherv(w.take(), sim::CommPhase::kBroadcast);
+      coll_.allGatherv(w.take());
   for (unsigned src = 0; src < numHosts; ++src) {
     if (src == me) continue;
     ByteReader r(bcastIn[src]);

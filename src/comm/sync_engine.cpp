@@ -146,7 +146,7 @@ void SyncEngine::exchangeWillAccess(const util::BitVector* willAccess) {
   }
   phases.pack += t.seconds();
   t.reset();
-  coll_.allToAllv(sendBufs_, recvBufs_, sim::CommPhase::kControl);
+  coll_.allToAllv(sendBufs_, recvBufs_);
   phases.exchange += t.seconds();
   t.reset();
   for (unsigned src = 0; src < numHosts; ++src) {
@@ -369,7 +369,7 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
       {.chunkSize = 1});
   lap(phases.pack);
 
-  coll_.allToAllv(sendBufs_, recvBufs_, sim::CommPhase::kReduce);
+  coll_.allToAllv(sendBufs_, recvBufs_);
   lap(phases.exchange);
 
   // Fold: rows partitioned over threads, sources walked in host-id order per
@@ -517,7 +517,7 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
       {.chunkSize = 1});
   lap(phases.pack);
 
-  coll_.allToAllv(sendBufs_, recvBufs_, sim::CommPhase::kBroadcast);
+  coll_.allToAllv(sendBufs_, recvBufs_);
   lap(phases.exchange);
 
   // Masters own disjoint row ranges, so applying all sources' entries in
@@ -617,7 +617,7 @@ void SyncEngine::doSyncSerial(const util::BitVector* willAccess) {
       ctrlOut[peer] = w.take();
     }
     lap(phases.pack);
-    coll_.allToAllv(ctrlOut, ctrlIn, sim::CommPhase::kControl);
+    coll_.allToAllv(ctrlOut, ctrlIn);
     lap(phases.exchange);
   }
 
@@ -670,7 +670,7 @@ void SyncEngine::doSyncSerial(const util::BitVector* willAccess) {
   }
   lap(phases.pack);
   std::vector<std::vector<std::uint8_t>> reduceIn(numHosts);
-  coll_.allToAllv(reduceOut, reduceIn, sim::CommPhase::kReduce);
+  coll_.allToAllv(reduceOut, reduceIn);
   lap(phases.exchange);
 
   // ---- Master-side accumulation over contributions in host-id order. ----
@@ -812,7 +812,7 @@ void SyncEngine::doSyncSerial(const util::BitVector* willAccess) {
   // mirrors, masters, and the locally-touched mirrors a PullModel round
   // never refreshes (their baseline becomes what they hold) alike.
   std::vector<std::vector<std::uint8_t>> bcastIn(numHosts);
-  coll_.allToAllv(bcastOut, bcastIn, sim::CommPhase::kBroadcast);
+  coll_.allToAllv(bcastOut, bcastIn);
   lap(phases.exchange);
   for (unsigned src = 0; src < numHosts; ++src) {
     if (src == me) continue;

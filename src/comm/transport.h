@@ -5,7 +5,7 @@
 //
 // A Transport moves opaque byte payloads between ranks with (source, tag)
 // matching, provides an any-source receive, a global barrier, and per-rank
-// per-phase byte/message accounting (sim::CommStats). Blocking calls must
+// byte/message/round accounting (sim::CommStats). Blocking calls must
 // throw sim::NetworkAborted once the fabric is poisoned so a faulted rank
 // can never deadlock its peers — this is the abort-propagation half of the
 // contract, and comm::Collectives relies on it.
@@ -35,19 +35,16 @@ class Transport {
   virtual unsigned numRanks() const noexcept = 0;
 
   /// Enqueue `payload` for `dst`; never blocks on the receiver. Accounts
-  /// bytes (payload + framing) and one message under `phase`.
-  virtual void send(RankId src, RankId dst, int tag, std::vector<std::uint8_t> payload,
-                    sim::CommPhase phase) = 0;
+  /// bytes (payload + framing) and one message.
+  virtual void send(RankId src, RankId dst, int tag, std::vector<std::uint8_t> payload) = 0;
 
   /// Blocking receive matching (src, tag) at rank `dst`.
-  virtual std::vector<std::uint8_t> recv(RankId dst, RankId src, int tag,
-                                         sim::CommPhase phase) = 0;
+  virtual std::vector<std::uint8_t> recv(RankId dst, RankId src, int tag) = 0;
 
   /// Blocking receive matching any source (MPI_ANY_SOURCE); returns the
   /// sender. Lets root-side drains proceed in arrival order instead of
   /// head-of-line blocking on a fixed rank sequence.
-  virtual std::pair<RankId, std::vector<std::uint8_t>> recvAny(RankId dst, int tag,
-                                                               sim::CommPhase phase) = 0;
+  virtual std::pair<RankId, std::vector<std::uint8_t>> recvAny(RankId dst, int tag) = 0;
 
   /// Global barrier across all ranks.
   virtual void barrier(RankId rank) = 0;
@@ -55,8 +52,8 @@ class Transport {
   /// True once the fabric is poisoned; blocking calls throw NetworkAborted.
   virtual bool aborted() const noexcept = 0;
 
-  /// Per-rank traffic accounting (bytes/messages per phase + collective
-  /// rounds); Collectives records its round counts here.
+  /// Per-rank traffic accounting (bytes, messages, collective rounds);
+  /// Collectives records its round counts here.
   virtual sim::CommStats& statsFor(RankId rank) noexcept = 0;
 
   /// Declare ownership of the half-open tag range [lo, hi). Backends that can
@@ -68,17 +65,16 @@ class Transport {
   // ---- Typed conveniences (trivially-copyable elements). ----
 
   template <typename T>
-  void sendElems(RankId src, RankId dst, int tag, std::span<const T> data,
-                 sim::CommPhase phase) {
+  void sendElems(RankId src, RankId dst, int tag, std::span<const T> data) {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<std::uint8_t> bytes(data.size_bytes());
     if (!bytes.empty()) std::memcpy(bytes.data(), data.data(), bytes.size());
-    send(src, dst, tag, std::move(bytes), phase);
+    send(src, dst, tag, std::move(bytes));
   }
 
   template <typename T>
-  std::vector<T> recvElems(RankId dst, RankId src, int tag, sim::CommPhase phase) {
-    return elemsFromBytes<T>(recv(dst, src, tag, phase));
+  std::vector<T> recvElems(RankId dst, RankId src, int tag) {
+    return elemsFromBytes<T>(recv(dst, src, tag));
   }
 
   template <typename T>
@@ -98,19 +94,16 @@ class SimTransport final : public Transport {
 
   unsigned numRanks() const noexcept override { return net_.numHosts(); }
 
-  void send(RankId src, RankId dst, int tag, std::vector<std::uint8_t> payload,
-            sim::CommPhase phase) override {
-    net_.send(src, dst, tag, std::move(payload), phase);
+  void send(RankId src, RankId dst, int tag, std::vector<std::uint8_t> payload) override {
+    net_.send(src, dst, tag, std::move(payload));
   }
 
-  std::vector<std::uint8_t> recv(RankId dst, RankId src, int tag,
-                                 sim::CommPhase phase) override {
-    return net_.recv(dst, src, tag, phase);
+  std::vector<std::uint8_t> recv(RankId dst, RankId src, int tag) override {
+    return net_.recv(dst, src, tag);
   }
 
-  std::pair<RankId, std::vector<std::uint8_t>> recvAny(RankId dst, int tag,
-                                                       sim::CommPhase phase) override {
-    return net_.recvAny(dst, tag, phase);
+  std::pair<RankId, std::vector<std::uint8_t>> recvAny(RankId dst, int tag) override {
+    return net_.recvAny(dst, tag);
   }
 
   void barrier(RankId rank) override { net_.barrier(rank); }

@@ -88,6 +88,9 @@ QueryResult QueryEngine::queryWord(text::WordId w, unsigned k, QueryOptions qopt
 QueryResult QueryEngine::submit(Request req) {
   if (me_ != 0)
     throw std::logic_error("QueryEngine: queries enter at the rank-0 front-end only");
+  if (req.qopts.mode != QueryMode::kExact && req.qopts.mode != QueryMode::kAnn)
+    throw std::invalid_argument("QueryEngine: unknown query mode " +
+                                std::to_string(static_cast<unsigned>(req.qopts.mode)));
   req.submitted = Clock::now();
   std::sort(req.exclude.begin(), req.exclude.end());
   req.exclude.erase(std::unique(req.exclude.begin(), req.exclude.end()), req.exclude.end());
@@ -175,8 +178,7 @@ void QueryEngine::runCoordinator() {
     if (batch.empty()) {
       BatchHeader stop;
       stop.stop = 1;
-      coll_.broadcast(std::span<BatchHeader>(&stop, 1), 0, comm::CollectiveAlgo::kAuto,
-                      sim::CommPhase::kControl);
+      coll_.broadcast(std::span<BatchHeader>(&stop, 1), 0);
       break;
     }
     refreshPin(pin, index);
@@ -229,10 +231,8 @@ void QueryEngine::runCoordinator() {
     h.dim = snap.dim();
     h.payloadBytes = static_cast<std::uint32_t>(payload.size());
     h.version = snap.version();
-    coll_.broadcast(std::span<BatchHeader>(&h, 1), 0, comm::CollectiveAlgo::kAuto,
-                    sim::CommPhase::kControl);
-    coll_.broadcast(std::span<std::uint8_t>(payload), 0, comm::CollectiveAlgo::kAuto,
-                    sim::CommPhase::kBroadcast);
+    coll_.broadcast(std::span<BatchHeader>(&h, 1), 0);
+    coll_.broadcast(std::span<std::uint8_t>(payload), 0);
     metrics_.batches.fetch_add(1, std::memory_order_relaxed);
     metrics_.batchedQueries.fetch_add(live.size(), std::memory_order_relaxed);
 
@@ -246,8 +246,7 @@ void QueryEngine::runCoordinator() {
     }
     const auto mine = scoreLocal(index, queries, qopts);
 
-    const auto perRank =
-        coll_.gatherv(serializeParts(mine), 0, sim::CommPhase::kReduce);
+    const auto perRank = coll_.gatherv(serializeParts(mine), 0);
     std::vector<std::vector<std::vector<Candidate>>> parts(numRanks_);
     for (unsigned r = 0; r < numRanks_; ++r) parts[r] = parseParts(perRank[r], live.size());
 
@@ -329,12 +328,10 @@ void QueryEngine::runWorker() {
 
   for (;;) {
     BatchHeader h;
-    coll_.broadcast(std::span<BatchHeader>(&h, 1), 0, comm::CollectiveAlgo::kAuto,
-                    sim::CommPhase::kControl);
+    coll_.broadcast(std::span<BatchHeader>(&h, 1), 0);
     if (h.stop != 0) break;
     std::vector<std::uint8_t> payload(h.payloadBytes);
-    coll_.broadcast(std::span<std::uint8_t>(payload), 0, comm::CollectiveAlgo::kAuto,
-                    sim::CommPhase::kBroadcast);
+    coll_.broadcast(std::span<std::uint8_t>(payload), 0);
     refreshPin(pin, index);
     if (h.dim != pin->dim())
       throw std::runtime_error("QueryEngine: batch dim does not match local snapshot");
@@ -350,7 +347,10 @@ void QueryEngine::runWorker() {
       tq.vec = matrix.data() + static_cast<std::size_t>(q) * h.dim;
       tq.k = rd.get<std::uint32_t>();
       QueryOptions qo;
-      qo.mode = static_cast<QueryMode>(rd.get<std::uint32_t>());
+      const std::uint32_t mode = rd.get<std::uint32_t>();
+      if (mode > static_cast<std::uint32_t>(QueryMode::kAnn))
+        throw std::runtime_error("QueryEngine: unknown query mode in query batch");
+      qo.mode = static_cast<QueryMode>(mode);
       qo.nprobe = rd.get<std::uint32_t>();
       qo.refine = rd.get<std::uint32_t>();
       const std::uint32_t exLen = rd.get<std::uint32_t>();
@@ -360,8 +360,7 @@ void QueryEngine::runWorker() {
     }
     if (!rd.done()) throw std::runtime_error("QueryEngine: trailing bytes in query batch");
 
-    coll_.gatherv(serializeParts(scoreLocal(index, queries, qopts)), 0,
-                  sim::CommPhase::kReduce);
+    coll_.gatherv(serializeParts(scoreLocal(index, queries, qopts)), 0);
   }
 }
 

@@ -14,9 +14,8 @@
 //   gatherv    partial top-k lists back to rank 0, merged under the
 //              deterministic `better` order — identical to a single-host scan
 //
-// Query traffic is charged to the normal CommPhase accounting (broadcast /
-// reduce), so bytes-per-query falls out of CommStats like every other
-// subsystem's volume.
+// Query traffic is booked in the rank's CommStats like every other
+// subsystem's collectives, so bytes-per-query falls out of the same counters.
 //
 // Each rank pins its SnapshotStore's current version for whole batches and
 // repins between batches when a publish happened (hot swap: in-flight

@@ -12,31 +12,18 @@
 
 namespace gw2v::sim {
 
-/// Which logical phase of the BSP round a message belongs to. Reduce is
-/// mirrors->master traffic, Broadcast is master->mirrors, Control covers
-/// metadata (bit-vectors, will-access sets, sizes).
-enum class CommPhase : int { kReduce = 0, kBroadcast = 1, kControl = 2, kOther = 3 };
-inline constexpr int kNumCommPhases = 4;
-
-struct PhaseCounters {
-  std::atomic<std::uint64_t> bytesSent{0};
-  std::atomic<std::uint64_t> bytesReceived{0};
-  std::atomic<std::uint64_t> messagesSent{0};
-};
-
 class CommStats {
  public:
-  void recordSend(CommPhase phase, std::uint64_t bytes) noexcept {
-    auto& c = phases_[static_cast<int>(phase)];
-    c.bytesSent.fetch_add(bytes, std::memory_order_relaxed);
-    c.messagesSent.fetch_add(1, std::memory_order_relaxed);
+  void recordSend(std::uint64_t bytes) noexcept {
+    bytesSent_.fetch_add(bytes, std::memory_order_relaxed);
+    messagesSent_.fetch_add(1, std::memory_order_relaxed);
   }
-  void recordReceive(CommPhase phase, std::uint64_t bytes) noexcept {
-    phases_[static_cast<int>(phase)].bytesReceived.fetch_add(bytes, std::memory_order_relaxed);
+  void recordReceive(std::uint64_t bytes) noexcept {
+    bytesReceived_.fetch_add(bytes, std::memory_order_relaxed);
   }
 
   /// Serialized rounds this host sat through inside collective operations
-  /// (ring steps, tree depth, star drain length). The NetworkModel charges
+  /// (ring steps, tree depth, root drain length). The NetworkModel charges
   /// latency on max(messages, rounds), so algorithm depth shows up in
   /// modelled time even when this host sent few messages itself.
   void recordCollectiveRounds(std::uint64_t rounds) noexcept {
@@ -46,40 +33,18 @@ class CommStats {
     return collectiveRounds_.load(std::memory_order_relaxed);
   }
 
-  std::uint64_t bytesSent() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& c : phases_) total += c.bytesSent.load(std::memory_order_relaxed);
-    return total;
-  }
+  std::uint64_t bytesSent() const noexcept { return bytesSent_.load(std::memory_order_relaxed); }
   std::uint64_t bytesReceived() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& c : phases_) total += c.bytesReceived.load(std::memory_order_relaxed);
-    return total;
+    return bytesReceived_.load(std::memory_order_relaxed);
   }
   std::uint64_t messagesSent() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& c : phases_) total += c.messagesSent.load(std::memory_order_relaxed);
-    return total;
-  }
-
-  std::uint64_t bytesSent(CommPhase phase) const noexcept {
-    return phases_[static_cast<int>(phase)].bytesSent.load(std::memory_order_relaxed);
-  }
-  std::uint64_t messagesSent(CommPhase phase) const noexcept {
-    return phases_[static_cast<int>(phase)].messagesSent.load(std::memory_order_relaxed);
-  }
-
-  void reset() noexcept {
-    for (auto& c : phases_) {
-      c.bytesSent.store(0, std::memory_order_relaxed);
-      c.bytesReceived.store(0, std::memory_order_relaxed);
-      c.messagesSent.store(0, std::memory_order_relaxed);
-    }
-    collectiveRounds_.store(0, std::memory_order_relaxed);
+    return messagesSent_.load(std::memory_order_relaxed);
   }
 
  private:
-  PhaseCounters phases_[kNumCommPhases];
+  std::atomic<std::uint64_t> bytesSent_{0};
+  std::atomic<std::uint64_t> bytesReceived_{0};
+  std::atomic<std::uint64_t> messagesSent_{0};
   std::atomic<std::uint64_t> collectiveRounds_{0};
 };
 

@@ -11,22 +11,21 @@ Network::Network(unsigned numHosts)
   if (numHosts == 0) throw std::invalid_argument("Network: numHosts must be >= 1");
 }
 
-void Network::send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> payload,
-                   CommPhase phase) {
+void Network::send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> payload) {
   assert(src < numHosts_ && dst < numHosts_);
   if (aborted()) throw NetworkAborted();
   // Loopback still goes through the mailbox and is accounted like any other
   // message; the sync engines never loop back bulk data.
-  stats_[src].recordSend(phase, payload.size() + kHeaderBytes);
+  stats_[src].recordSend(payload.size() + kHeaderBytes);
   Mailbox& mb = mailboxes_[dst];
   {
     std::lock_guard<std::mutex> lock(mb.mutex);
-    mb.messages.push_back(Message{src, tag, phase, std::move(payload)});
+    mb.messages.push_back(Message{src, tag, std::move(payload)});
   }
   mb.cv.notify_all();
 }
 
-std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag, CommPhase /*phase*/) {
+std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag) {
   assert(dst < numHosts_ && src < numHosts_);
   Mailbox& mb = mailboxes_[dst];
   std::unique_lock<std::mutex> lock(mb.mutex);
@@ -36,7 +35,7 @@ std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag, CommPha
       return m.src == src && m.tag == tag;
     });
     if (it != mb.messages.end()) {
-      stats_[dst].recordReceive(it->phase, it->payload.size() + kHeaderBytes);
+      stats_[dst].recordReceive(it->payload.size() + kHeaderBytes);
       std::vector<std::uint8_t> payload = std::move(it->payload);
       mb.messages.erase(it);
       return payload;
@@ -45,8 +44,7 @@ std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag, CommPha
   }
 }
 
-std::pair<HostId, std::vector<std::uint8_t>> Network::recvAny(HostId dst, int tag,
-                                                              CommPhase /*phase*/) {
+std::pair<HostId, std::vector<std::uint8_t>> Network::recvAny(HostId dst, int tag) {
   assert(dst < numHosts_);
   Mailbox& mb = mailboxes_[dst];
   std::unique_lock<std::mutex> lock(mb.mutex);
@@ -55,7 +53,7 @@ std::pair<HostId, std::vector<std::uint8_t>> Network::recvAny(HostId dst, int ta
     const auto it = std::find_if(mb.messages.begin(), mb.messages.end(),
                                  [&](const Message& m) { return m.tag == tag; });
     if (it != mb.messages.end()) {
-      stats_[dst].recordReceive(it->phase, it->payload.size() + kHeaderBytes);
+      stats_[dst].recordReceive(it->payload.size() + kHeaderBytes);
       std::pair<HostId, std::vector<std::uint8_t>> out{it->src, std::move(it->payload)};
       mb.messages.erase(it);
       return out;
@@ -114,22 +112,6 @@ void Network::abort() noexcept {
     std::lock_guard<std::mutex> lock(barrierMutex_);
     barrierCv_.notify_all();
   }
-}
-
-std::uint64_t Network::totalBytesSent() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& s : stats_) total += s.bytesSent();
-  return total;
-}
-
-std::uint64_t Network::totalMessagesSent() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& s : stats_) total += s.messagesSent();
-  return total;
-}
-
-void Network::resetStats() noexcept {
-  for (auto& s : stats_) s.reset();
 }
 
 }  // namespace gw2v::sim

@@ -10,16 +10,17 @@
 // Every payload is copied through the mailbox (never shared), so the hosts
 // genuinely cannot observe each other's memory except via messages; this is
 // what makes the simulation a faithful stand-in for a distributed cluster.
+// Each host's CommStats counts the bytes and messages it sent and the bytes
+// it drained — the volume behind the paper's Figures 8 and 9.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <mutex>
-#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/comm_stats.h"
@@ -44,42 +45,19 @@ class Network {
   /// src, dst, tag, size), mirroring a real transport's framing cost.
   static constexpr std::uint64_t kHeaderBytes = 16;
 
-  /// Books the send on `src` now; the receive is booked on `dst`, under the
-  /// sender's `phase`, when `dst` drains the message in recv/recvAny. A
-  /// host's traffic since a mark is therefore exactly what it sent and
-  /// drained in that window, however far its peers run ahead.
-  void send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> payload,
-            CommPhase phase = CommPhase::kOther);
+  /// Books the send on `src` now; the receive is booked on `dst` when `dst`
+  /// drains the message in recv/recvAny. A host's traffic since a mark is
+  /// therefore exactly what it sent and drained in that window, however far
+  /// its peers run ahead.
+  void send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> payload);
 
-  /// Blocking receive matching (src, tag) at host `dst`. The receive is
-  /// booked under the phase the sender gave; `phase` is not consulted.
-  std::vector<std::uint8_t> recv(HostId dst, HostId src, int tag,
-                                 CommPhase phase = CommPhase::kOther);
+  /// Blocking receive matching (src, tag) at host `dst`.
+  std::vector<std::uint8_t> recv(HostId dst, HostId src, int tag);
 
   /// Blocking receive matching any source (MPI_ANY_SOURCE); returns the
-  /// sender. Used by the parameter-server baseline's asynchronous pushes.
-  std::pair<HostId, std::vector<std::uint8_t>> recvAny(HostId dst, int tag,
-                                                       CommPhase phase = CommPhase::kOther);
-
-  /// Typed convenience wrappers (trivially-copyable payload elements).
-  template <typename T>
-  void sendVector(HostId src, HostId dst, int tag, std::span<const T> data,
-                  CommPhase phase = CommPhase::kOther) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::uint8_t> bytes(data.size_bytes());
-    if (!bytes.empty()) std::memcpy(bytes.data(), data.data(), bytes.size());
-    send(src, dst, tag, std::move(bytes), phase);
-  }
-
-  template <typename T>
-  std::vector<T> recvVector(HostId dst, HostId src, int tag,
-                            CommPhase phase = CommPhase::kOther) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::uint8_t> bytes = recv(dst, src, tag, phase);
-    std::vector<T> out(bytes.size() / sizeof(T));
-    if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
-  }
+  /// sender. Lets root-side drains and the parameter server's asynchronous
+  /// requests proceed in arrival order.
+  std::pair<HostId, std::vector<std::uint8_t>> recvAny(HostId dst, int tag);
 
   /// Global barrier across all hosts.
   void barrier(HostId host);
@@ -101,16 +79,10 @@ class Network {
   CommStats& statsFor(HostId host) noexcept { return stats_[host]; }
   const CommStats& statsFor(HostId host) const noexcept { return stats_[host]; }
 
-  /// Cluster-wide totals.
-  std::uint64_t totalBytesSent() const noexcept;
-  std::uint64_t totalMessagesSent() const noexcept;
-  void resetStats() noexcept;
-
  private:
   struct Message {
     HostId src;
     int tag;
-    CommPhase phase;
     std::vector<std::uint8_t> payload;
   };
 

@@ -32,7 +32,7 @@ struct NetworkModel {
   /// Time for a BSP exchange given one host's send+recv delta: the host's
   /// NIC is the bottleneck resource, so cost = alpha*msgs + (sent+recv)/beta.
   /// Collectives additionally record their serialized round count (ring
-  /// steps, tree depth, star drain); the latency term is charged on
+  /// steps, tree depth, root drain); the latency term is charged on
   /// rounds × alpha when that dominates the host's own message count, so a
   /// tree leaf still pays for the depth it waited out.
   double exchangeSeconds(const CommSnapshot& d) const noexcept {

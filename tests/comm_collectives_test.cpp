@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,88 +43,86 @@ void runRanks(unsigned numRanks, const std::function<void(RankId, Collectives&)>
   ASSERT_FALSE(failed.load()) << firstError;
 }
 
-double seqReference(CollOp op, std::size_t i, unsigned numRanks) {
+double seqReference(std::size_t i, unsigned numRanks) {
   // Rank h contributes h * 100 + i to slot i.
   double acc = static_cast<double>(i);  // rank 0
-  for (unsigned h = 1; h < numRanks; ++h) {
-    const double v = h * 100.0 + static_cast<double>(i);
-    switch (op) {
-      case CollOp::kSum: acc += v; break;
-      case CollOp::kMin: acc = std::min(acc, v); break;
-      case CollOp::kMax: acc = std::max(acc, v); break;
-    }
-  }
+  for (unsigned h = 1; h < numRanks; ++h) acc += h * 100.0 + static_cast<double>(i);
   return acc;
 }
 
+unsigned ceilLog2(unsigned v) {
+  unsigned r = 0;
+  while ((1u << r) < v) ++r;
+  return r;
+}
+
 constexpr unsigned kHostCounts[] = {1, 2, 3, 4, 7, 8};
-constexpr std::size_t kPayloadSizes[] = {1, 3, 17, 129};  // odd, non-divisible by H
-constexpr CollOp kOps[] = {CollOp::kSum, CollOp::kMin, CollOp::kMax};
-constexpr CollectiveAlgo kAlgos[] = {CollectiveAlgo::kNaive, CollectiveAlgo::kRing,
-                                     CollectiveAlgo::kTree, CollectiveAlgo::kAuto};
+
+// allReduceSum picks its algorithm from the payload size alone: the ring at
+// n >= 2H, the tree below. These sizes land on both sides of that rule at
+// every H, right at the boundary, and odd sizes do not divide evenly by H.
+std::vector<std::size_t> payloadSizes(unsigned H) { return {1, 2 * H - 1, 2 * H, 17, 129}; }
 
 TEST(Collectives, AllReduceMatchesSequentialReference) {
   for (const unsigned H : kHostCounts) {
-    for (const std::size_t n : kPayloadSizes) {
-      for (const CollOp op : kOps) {
-        for (const CollectiveAlgo algo : kAlgos) {
-          runRanks(H, [&](RankId me, Collectives& coll) {
-            std::vector<double> v(n);
-            for (std::size_t i = 0; i < n; ++i) v[i] = me * 100.0 + static_cast<double>(i);
-            coll.allReduce(std::span<double>(v), op, algo);
-            for (std::size_t i = 0; i < n; ++i) {
-              // Sum of <= 8 exactly-representable doubles: exact in any
-              // association order; min/max trivially exact.
-              ASSERT_DOUBLE_EQ(v[i], seqReference(op, i, H))
-                  << "H=" << H << " n=" << n << " op=" << static_cast<int>(op)
-                  << " algo=" << collectiveAlgoName(algo) << " rank=" << me << " i=" << i;
-            }
-          });
+    for (const std::size_t n : payloadSizes(H)) {
+      runRanks(H, [&](RankId me, Collectives& coll) {
+        std::vector<double> v(n);
+        for (std::size_t i = 0; i < n; ++i) v[i] = me * 100.0 + static_cast<double>(i);
+        coll.allReduceSum(v);
+        for (std::size_t i = 0; i < n; ++i) {
+          // Sum of <= 8 exactly-representable doubles: exact in any
+          // association order.
+          ASSERT_DOUBLE_EQ(v[i], seqReference(i, H))
+              << "H=" << H << " n=" << n << " rank=" << me << " i=" << i;
         }
-      }
+      });
     }
   }
 }
 
-TEST(Collectives, AllReduceWithCustomFold) {
-  runRanks(4, [](RankId me, Collectives& coll) {
-    std::vector<float> v{static_cast<float>(me + 1)};
-    coll.allReduceWith(std::span<float>(v),
-                       [](std::span<float> acc, std::span<const float> in) {
-                         for (std::size_t i = 0; i < acc.size(); ++i) acc[i] *= in[i];
-                       },
-                       CollectiveAlgo::kTree);
-    ASSERT_FLOAT_EQ(v[0], 1.0f * 2.0f * 3.0f * 4.0f);
-  });
+TEST(Collectives, AllReduceSumSizeRuleSelectsTreeOrRing) {
+  // Below 2H elements the sum runs as a tree reduce + tree broadcast:
+  // 2·ceil(log2 H) rounds on every rank and 2(H−1) messages in total. From
+  // 2H up it runs as the ring: 2(H−1) rounds and 2(H−1) messages per rank.
+  for (const unsigned H : {4u, 8u}) {
+    for (const std::size_t n : {2 * H - 1, 2 * H}) {
+      const bool ring = n >= 2 * H;
+      sim::Network net(H);
+      std::vector<std::thread> threads;
+      for (unsigned h = 0; h < H; ++h) {
+        threads.emplace_back([&, h] {
+          SimTransport transport(net);
+          Collectives coll(transport, h, TagSpace::kTest);
+          std::vector<double> v(n, 1.0);
+          coll.allReduceSum(v);
+        });
+      }
+      for (auto& t : threads) t.join();
+      std::uint64_t messages = 0;
+      for (unsigned h = 0; h < H; ++h) {
+        const sim::CommStats& st = net.statsFor(h);
+        EXPECT_EQ(st.collectiveRounds(), ring ? 2u * (H - 1) : 2u * ceilLog2(H))
+            << "H=" << H << " n=" << n << " rank " << h;
+        if (ring) {
+          EXPECT_EQ(st.messagesSent(), 2u * (H - 1)) << "H=" << H << " rank " << h;
+        }
+        messages += st.messagesSent();
+      }
+      if (!ring) {
+        EXPECT_EQ(messages, 2u * (H - 1)) << "H=" << H;
+      }
+    }
+  }
 }
 
 TEST(Collectives, BroadcastFromEveryRoot) {
   for (const unsigned H : kHostCounts) {
     for (unsigned root = 0; root < H; ++root) {
-      for (const CollectiveAlgo algo : {CollectiveAlgo::kNaive, CollectiveAlgo::kTree}) {
-        runRanks(H, [&](RankId me, Collectives& coll) {
-          std::vector<std::uint32_t> v(17, me == root ? root * 7 + 1 : 0u);
-          coll.broadcast(std::span<std::uint32_t>(v), root, algo);
-          for (const auto x : v) ASSERT_EQ(x, root * 7 + 1) << "root=" << root << " me=" << me;
-        });
-      }
-    }
-  }
-}
-
-TEST(Collectives, ReduceFoldsAtRoot) {
-  for (const unsigned H : {2u, 5u, 8u}) {
-    for (unsigned root = 0; root < H; ++root) {
       runRanks(H, [&](RankId me, Collectives& coll) {
-        std::vector<double> v{static_cast<double>(me), 1.0};
-        coll.reduce(std::span<double>(v), root,
-                    [](std::span<double> acc, std::span<const double> in) {
-                      for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += in[i];
-                    });
-        if (me == root) {
-          ASSERT_DOUBLE_EQ(v[0], H * (H - 1) / 2.0);
-          ASSERT_DOUBLE_EQ(v[1], static_cast<double>(H));
-        }
+        std::vector<std::uint32_t> v(17, me == root ? root * 7 + 1 : 0u);
+        coll.broadcast(std::span<std::uint32_t>(v), root);
+        for (const auto x : v) ASSERT_EQ(x, root * 7 + 1) << "root=" << root << " me=" << me;
       });
     }
   }
@@ -173,7 +171,7 @@ TEST(Collectives, AllToAllvExchangesPersonalizedPayloads) {
         toPeer[p].assign(p + 1, static_cast<std::uint8_t>(me * 16 + p));
       }
       std::vector<std::vector<std::uint8_t>> from(H);
-      coll.allToAllv(toPeer, from, sim::CommPhase::kReduce);
+      coll.allToAllv(toPeer, from);
       ASSERT_TRUE(from[me].empty());
       for (unsigned src = 0; src < H; ++src) {
         if (src == me) continue;
@@ -249,11 +247,14 @@ TEST(Collectives, AllToAllvRejectsWrongSlotCount) {
 
 TEST(Collectives, BackToBackOperationsDoNotMix) {
   // A rank that races ahead into the next collective must not steal messages
-  // from the previous one: tags advance per operation.
+  // from the previous one: tags advance per operation. Rounds alternate
+  // between a tree-sized and a ring-sized sum.
   runRanks(4, [](RankId me, Collectives& coll) {
     for (int round = 0; round < 25; ++round) {
-      std::vector<double> v{static_cast<double>(me), static_cast<double>(round)};
-      coll.allReduceSum(v, CollectiveAlgo::kNaive);
+      std::vector<double> v(round % 2 == 0 ? 2 : 8, 0.0);
+      v[0] = static_cast<double>(me);
+      v[1] = static_cast<double>(round);
+      coll.allReduceSum(v);
       ASSERT_DOUBLE_EQ(v[0], 0.0 + 1.0 + 2.0 + 3.0);
       ASSERT_DOUBLE_EQ(v[1], 4.0 * round);
       std::vector<std::uint8_t> blob(1 + (me + round) % 3, static_cast<std::uint8_t>(me));
@@ -266,8 +267,8 @@ TEST(Collectives, BackToBackOperationsDoNotMix) {
 }
 
 TEST(Collectives, RingAllReduceStaysWithinBandwidthOptimalBound) {
-  // The point of the ring: per-rank traffic ~= 2 n (H-1)/H elements, not the
-  // star's O(H n) at the root. Check the measured per-rank bytes.
+  // The point of the ring: per-rank traffic ~= 2 n (H-1)/H elements, however
+  // many ranks share the sum. Check the measured per-rank bytes.
   const unsigned H = 8;
   const std::size_t n = 4096;
   sim::Network net(H);
@@ -277,7 +278,7 @@ TEST(Collectives, RingAllReduceStaysWithinBandwidthOptimalBound) {
       SimTransport transport(net);
       Collectives coll(transport, h, TagSpace::kTest);
       std::vector<double> v(n, 1.0);
-      coll.allReduceSum(v, CollectiveAlgo::kRing);
+      coll.allReduceSum(v);
     });
   }
   for (auto& t : threads) t.join();
@@ -292,20 +293,6 @@ TEST(Collectives, RingAllReduceStaysWithinBandwidthOptimalBound) {
     EXPECT_GE(sent, static_cast<std::uint64_t>(idealBytes * 0.9)) << "rank " << h;
     EXPECT_EQ(net.statsFor(h).collectiveRounds(), 2u * (H - 1));
   }
-  // ... while the naive star concentrates O(H n) at the root.
-  net.resetStats();
-  std::vector<std::thread> threads2;
-  for (unsigned h = 0; h < H; ++h) {
-    threads2.emplace_back([&, h] {
-      SimTransport transport(net);
-      Collectives coll(transport, h, TagSpace::kTest);
-      std::vector<double> v(n, 1.0);
-      coll.allReduceSum(v, CollectiveAlgo::kNaive);
-    });
-  }
-  for (auto& t : threads2) t.join();
-  EXPECT_GE(net.statsFor(0).bytesSent() + net.statsFor(0).bytesReceived(),
-            2 * (H - 1) * n * sizeof(double));
 }
 
 TEST(Collectives, TreeRoundsAreLogarithmic) {
@@ -317,7 +304,7 @@ TEST(Collectives, TreeRoundsAreLogarithmic) {
       SimTransport transport(net);
       Collectives coll(transport, h, TagSpace::kTest);
       std::vector<double> v{1.0};
-      coll.broadcast(std::span<double>(v), 0, CollectiveAlgo::kTree);
+      coll.broadcast(std::span<double>(v), 0);
     });
   }
   for (auto& t : threads) t.join();
@@ -329,7 +316,7 @@ TEST(Collectives, TreeRoundsAreLogarithmic) {
 TEST(Collectives, SingleRankEverythingIsANoop) {
   runRanks(1, [](RankId, Collectives& coll) {
     std::vector<double> v{5.0};
-    coll.allReduceSum(v, CollectiveAlgo::kRing);
+    coll.allReduceSum(v);
     ASSERT_DOUBLE_EQ(v[0], 5.0);
     coll.broadcast(std::span<double>(v), 0);
     const auto g = coll.gatherv({1, 2, 3}, 0);
@@ -346,8 +333,8 @@ TEST(Collectives, SingleRankEverythingIsANoop) {
 TEST(Collectives, AbortMidCollectivePropagatesToAllRanks) {
   // Rank 2 dies before joining the collective; everyone blocked inside it
   // must observe NetworkAborted instead of deadlocking.
-  for (const CollectiveAlgo algo :
-       {CollectiveAlgo::kNaive, CollectiveAlgo::kRing, CollectiveAlgo::kTree}) {
+  // n = 7 runs the tree at H = 4, n = 64 the ring.
+  for (const std::size_t n : {7u, 64u}) {
     constexpr unsigned H = 4;
     sim::Network net(H);
     std::atomic<int> aborted{0};
@@ -361,9 +348,9 @@ TEST(Collectives, AbortMidCollectivePropagatesToAllRanks) {
           net.abort();
           return;
         }
-        std::vector<double> v(64, static_cast<double>(h));
+        std::vector<double> v(n, static_cast<double>(h));
         try {
-          coll.allReduceSum(v, algo);
+          coll.allReduceSum(v);
           // A rank may squeak through if it finished before the poison hit;
           // with rank 2 never sending, at least one peer of 2 cannot.
         } catch (const sim::NetworkAborted&) {
@@ -372,7 +359,7 @@ TEST(Collectives, AbortMidCollectivePropagatesToAllRanks) {
       });
     }
     for (auto& t : threads) t.join();
-    EXPECT_GE(aborted.load(), 1) << collectiveAlgoName(algo);
+    EXPECT_GE(aborted.load(), 1) << "n=" << n;
     EXPECT_TRUE(net.aborted());
   }
 }
@@ -381,10 +368,30 @@ TEST(Collectives, OpsIssuedAdvancesUniformly) {
   runRanks(3, [](RankId, Collectives& coll) {
     ASSERT_EQ(coll.opsIssued(), 0u);
     std::vector<double> v{1.0};
-    coll.allReduceSum(v, CollectiveAlgo::kNaive);
-    coll.allGatherv({1});
+    coll.allReduceSum(v);  // tree-sized: a reduce and a broadcast
     ASSERT_EQ(coll.opsIssued(), 2u);
+    std::vector<double> w(6, 1.0);
+    coll.allReduceSum(w);  // ring-sized: one operation
+    coll.allGatherv({1});
+    ASSERT_EQ(coll.opsIssued(), 4u);
   });
+}
+
+TEST(SimTransport, SendElemsRecvElemsRoundTripTypedPayloads) {
+  // The typed conveniences copy elements through the byte payload unchanged
+  // and book the same header + payload bytes as a raw send; an empty span is
+  // a header-only message that decodes to an empty vector.
+  sim::Network net(2);
+  SimTransport transport(net);
+  const std::vector<float> data{1.5f, -2.5f, 3.25f};
+  transport.sendElems<float>(0, 1, 4, data);
+  transport.sendElems<std::uint64_t>(0, 1, 5, std::span<const std::uint64_t>{});
+  EXPECT_EQ(transport.statsFor(0).bytesSent(),
+            data.size() * sizeof(float) + 2 * sim::Network::kHeaderBytes);
+  EXPECT_EQ(transport.statsFor(0).messagesSent(), 2u);
+  EXPECT_EQ(transport.recvElems<float>(1, 0, 4), data);
+  EXPECT_TRUE(transport.recvElems<std::uint64_t>(1, 0, 5).empty());
+  EXPECT_EQ(transport.statsFor(1).bytesReceived(), transport.statsFor(0).bytesSent());
 }
 
 }  // namespace

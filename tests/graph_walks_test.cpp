@@ -188,8 +188,11 @@ TEST(Walker, ExtremeBiasHitsExactFallbackAndStaysCorrect) {
   EXPECT_GT(to3, 1990u);
   const auto probs = w.transitionProbs(0, 1);
   const auto nbrs = g.neighbors(1);
-  for (std::size_t i = 0; i < nbrs.size(); ++i)
-    if (nbrs[i] == 3) EXPECT_GT(probs[i], 0.999);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    if (nbrs[i] == 3) {
+      EXPECT_GT(probs[i], 0.999);
+    }
+  }
 }
 
 TEST(WalkCorpus, ExactTokenAccountingAndVocabEncoding) {

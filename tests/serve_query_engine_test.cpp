@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "comm/collectives.h"
+#include "comm/serialize.h"
 #include "comm/transport.h"
 #include "eval/embedding_view.h"
 #include "graph/model_graph.h"
@@ -183,6 +185,65 @@ TEST(ServeQueryEngine, EdgeCases) {
     // Wrong query dimensionality surfaces as invalid_argument.
     EXPECT_THROW(engine.query(std::vector<float>(kDim + 3, 1.0f), 5), std::invalid_argument);
   });
+}
+
+TEST(ServeQueryEngine, RejectsUnknownQueryMode) {
+  const graph::ModelGraph model = makeModel(19);
+  const text::Vocabulary vocab = makeVocab(kVocab);
+  SnapshotStore store(8);
+  store.publish(std::make_shared<const EmbeddingSnapshot>(model, &vocab, 1));
+
+  // Front end: a mode outside {kExact, kAnn} is the caller's error, not an
+  // exact scan.
+  runServe(2, store, {}, [&](QueryEngine& engine) {
+    QueryOptions bad;
+    bad.mode = static_cast<QueryMode>(7);
+    EXPECT_THROW(engine.query(std::vector<float>(kDim, 1.0f), 5, {}, bad),
+                 std::invalid_argument);
+    EXPECT_THROW(engine.queryWord(0, 5, bad), std::invalid_argument);
+  });
+
+  // Wire: rank 0 hand-packs one batch whose mode word is 257. The worker must
+  // reject it rather than truncate it into the uint8_t enum (257 -> kAnn).
+  // Rank 0 then plays the rest of a well-formed round, so a worker that
+  // accepts the batch finishes cleanly and the missing throw is what fails.
+  struct WireHeader {  // QueryEngine::BatchHeader's layout
+    std::uint32_t stop = 0;
+    std::uint32_t count = 0;
+    std::uint32_t dim = 0;
+    std::uint32_t payloadBytes = 0;
+    std::uint64_t version = 0;
+  };
+  sim::ClusterOptions copts;
+  copts.numHosts = 2;
+  try {
+    sim::runCluster(copts, [&](sim::HostContext& ctx) {
+      comm::SimTransport transport(ctx.network());
+      if (ctx.id() == 1) {
+        QueryEngine(transport, 1, store, {}).run();
+        return;
+      }
+      comm::Collectives coll(transport, 0, comm::TagSpace::kServe);
+      comm::ByteWriter w;
+      w.putSpan<float>(std::vector<float>(kDim, 1.0f));
+      for (const std::uint32_t word : {5u, 257u, 8u, 0u, 0u}) w.put<std::uint32_t>(word);
+      std::vector<std::uint8_t> payload = w.take();
+      WireHeader h;
+      h.count = 1;
+      h.dim = kDim;
+      h.payloadBytes = static_cast<std::uint32_t>(payload.size());
+      h.version = 1;
+      coll.broadcast(std::span<WireHeader>(&h, 1), 0);
+      coll.broadcast(std::span<std::uint8_t>(payload), 0);
+      coll.gatherv({}, 0);
+      WireHeader stop;
+      stop.stop = 1;
+      coll.broadcast(std::span<WireHeader>(&stop, 1), 0);
+    });
+    ADD_FAILURE() << "worker accepted query mode 257";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown query mode"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ServeQueryEngine, BatchingAmortizesRoundsAcrossConcurrentClients) {

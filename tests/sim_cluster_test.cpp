@@ -34,12 +34,9 @@ TEST(Cluster, HostsCanExchangeMessages) {
   opts.numHosts = 2;
   runCluster(opts, [&](HostContext& ctx) {
     if (ctx.id() == 0) {
-      const std::vector<float> data{1.0f, 2.0f};
-      ctx.network().sendVector<float>(0, 1, 1, data);
+      ctx.network().send(0, 1, 1, {1, 2});
     } else {
-      const auto got = ctx.network().recvVector<float>(1, 0, 1);
-      EXPECT_EQ(got.size(), 2u);
-      EXPECT_FLOAT_EQ(got[0], 1.0f);
+      EXPECT_EQ(ctx.network().recv(1, 0, 1), (std::vector<std::uint8_t>{1, 2}));
     }
   });
 }
@@ -57,6 +54,36 @@ TEST(Cluster, ReportContainsPerHostTraffic) {
   EXPECT_EQ(report.hosts[1].comm.bytesSent, 0u);
   EXPECT_EQ(report.totalBytes(), 100 + Network::kHeaderBytes);
   EXPECT_GT(report.wallSeconds, 0.0);
+}
+
+TEST(Cluster, TotalBytesMatchesBytesReceivedOnceEverythingIsDrained) {
+  // Every host sends a differently sized payload to every peer. Once all of
+  // them are drained, the bytes the report counts as sent are exactly the
+  // bytes booked as received, host by host and in total.
+  constexpr unsigned kHosts = 4;
+  ClusterOptions opts;
+  opts.numHosts = kHosts;
+  const auto report = runCluster(opts, [&](HostContext& ctx) {
+    const HostId me = ctx.id();
+    for (HostId peer = 0; peer < kHosts; ++peer) {
+      if (peer != me) ctx.network().send(me, peer, 7, std::vector<std::uint8_t>(10 * me + peer));
+    }
+    for (unsigned k = 0; k + 1 < kHosts; ++k) (void)ctx.network().recvAny(me, 7);
+  });
+  std::uint64_t expectedSent = 0;
+  std::uint64_t received = 0;
+  for (HostId h = 0; h < kHosts; ++h) {
+    std::uint64_t toMe = 0;
+    for (HostId src = 0; src < kHosts; ++src) {
+      if (src != h) toMe += 10 * src + h + Network::kHeaderBytes;
+    }
+    EXPECT_EQ(report.hosts[h].comm.bytesReceived, toMe) << "host " << h;
+    EXPECT_EQ(report.hosts[h].comm.messagesSent, kHosts - 1) << "host " << h;
+    expectedSent += toMe;
+    received += report.hosts[h].comm.bytesReceived;
+  }
+  EXPECT_EQ(report.totalBytes(), expectedSent);
+  EXPECT_EQ(report.totalBytes(), received);
 }
 
 TEST(Cluster, ComputeTimerAccumulates) {
@@ -202,10 +229,10 @@ TEST(NetworkModel, ExchangeCountsSendPlusRecv) {
 
 TEST(CommStats, SnapshotDelta) {
   CommStats s;
-  s.recordSend(CommPhase::kReduce, 100);
+  s.recordSend(100);
   const auto before = snapshot(s);
-  s.recordSend(CommPhase::kBroadcast, 50);
-  s.recordReceive(CommPhase::kReduce, 30);
+  s.recordSend(50);
+  s.recordReceive(30);
   const auto d = delta(before, snapshot(s));
   EXPECT_EQ(d.bytesSent, 50u);
   EXPECT_EQ(d.bytesReceived, 30u);
